@@ -98,6 +98,37 @@ func TestWiredStepAllocBudget(t *testing.T) {
 	}
 }
 
+// TestWiredCommBatchAllocBudget pins a wired 2-worker RunBatch replaying
+// the runner's cached program: the comm path (bucket readiness events,
+// ring steps, comm accounting) the single-worker step above never takes.
+// Measured steady state is ~1.0k allocations per batch.
+func TestWiredCommBatchAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("explores a paper-scale model")
+	}
+	build, _ := models.Get("scrnn")
+	m := build(models.DefaultConfig("scrnn", 16))
+	opts := enumerate.PresetOptions(enumerate.PresetFK)
+	opts.CommAdapt = true
+	opts.Workers = 2
+	s := wire.NewSession(m, wire.SessionConfig{
+		Device:  gpusim.P100(),
+		Options: opts,
+		Runner:  wire.RunnerConfig{PerOpCPUUs: 2},
+		Comm:    wire.CommConfig{Workers: 2, BytesPerUs: 11000, LatencyUs: 8, Fabric: "pcie3"},
+	})
+	s.Explore()
+	r := s.Runner
+	if res := r.RunBatch(nil, nil); res.CommKernels == 0 {
+		t.Fatal("wired batch exchanged no gradients")
+	}
+	avg := testing.AllocsPerRun(10, func() { r.RunBatch(nil, nil) })
+	const budget = 1500.0
+	if avg > budget {
+		t.Errorf("wired 2-worker batch allocates %.0f/run, budget %.0f", avg, budget)
+	}
+}
+
 // TestCostModelPredictAllocBudget pins the cost-model prediction hot path:
 // once trained, Predict hashes feature tuples straight into the bucket
 // table and must not allocate at all (measured steady state: 0). The

@@ -42,7 +42,7 @@ func simulate(s *Schedule) *hbResult {
 		progress := false
 		for st := 0; st < nStreams; st++ {
 			for next[st] < len(s.Streams[st]) {
-				op := s.Streams[st][next[st]]
+				op := &s.Streams[st][next[st]]
 				if op.Kind == OpWait {
 					snap, ok := recorded[op.Event]
 					if !ok {
@@ -70,8 +70,8 @@ func simulate(s *Schedule) *hbResult {
 			res.deadlocked = true
 			for st := 0; st < nStreams; st++ {
 				if next[st] < len(s.Streams[st]) {
-					op := s.Streams[st][next[st]]
-					res.blocked = append(res.blocked, fmt.Sprintf("stream %d blocked at op %d (%s)", st, next[st], op.Name))
+					op := &s.Streams[st][next[st]]
+					res.blocked = append(res.blocked, fmt.Sprintf("stream %d blocked at op %d (%s)", st, next[st], op.Label()))
 				}
 			}
 			return res

@@ -59,7 +59,7 @@ func CheckSchedule(p *enumerate.Plan, s *Schedule, config string) *Report {
 					continue // program order
 				}
 				if !hb.happensBefore(Pos{Stream: st, Index: i}, end) {
-					r.Add("sched.endsync", config, fmt.Sprintf("kernel %q on stream %d is not synchronized before batch end", op.Name, st))
+					r.Add("sched.endsync", config, fmt.Sprintf("kernel %q on stream %d is not synchronized before batch end", op.Label(), st))
 				}
 			}
 		}
@@ -167,10 +167,10 @@ func checkComm(p *enumerate.Plan, s *Schedule, hb *hbResult, config string) *Rep
 	return r
 }
 
-// packBuckets independently repacks the plan's gradients under a byte cap,
-// mirroring the wirer's dispatch-order packing. The schedule builder and
-// the coverage check both use it; wire has its own copy, so a packing bug
-// there diverges from this one and fails the comparison.
+// packBuckets independently repacks the plan's gradients under a byte cap
+// in dispatch order. It is the coverage check's oracle: the lowering packs
+// on its own, so a packing bug there diverges from this and fails the
+// comparison.
 func packBuckets(p *enumerate.Plan, capBytes int64) []Bucket {
 	var out []Bucket
 	var cur Bucket
@@ -195,8 +195,8 @@ func packBuckets(p *enumerate.Plan, capBytes int64) []Bucket {
 	return out
 }
 
-// CheckConfig verifies the plan's *current* variable bindings: it builds
-// the symbolic schedule the wirer would dispatch and runs every
+// CheckConfig verifies the plan's *current* variable bindings: it lowers
+// them to the op program the wirer would issue and runs every
 // configuration-level analysis on it.
 func CheckConfig(p *enumerate.Plan, spec Spec) *Report {
 	s := BuildSchedule(p, spec)

@@ -13,7 +13,9 @@ import (
 // The mutation tests corrupt schedules, strategies and graphs on purpose
 // and assert each analysis catches its corruption. A verifier that passes
 // clean plans proves nothing on its own — these tests are the evidence the
-// analyses have teeth.
+// analyses have teeth. The schedules come from BuildSchedule, the lowering
+// wire.Runner executes, so each corruption is of the program the device
+// would run.
 
 // planFor enumerates a model under the richest preset plus a two-worker
 // gradient exchange, so every analysis has structure to bite on.

@@ -14,13 +14,14 @@
 //     two buffers aliasing, satisfied contiguity requests actually
 //     contiguous).
 //
-//   - Configuration-level (run per binding of the adaptive variables): a
-//     symbolic schedule is built by mirroring the custom-wirer's dispatch —
-//     kernels, RecordEvent/WaitEvent edges, gather copies, comm buckets —
-//     and checked with a vector-clock happens-before analysis for
-//     cross-stream races and wait-cycle deadlocks, fusion legality
-//     (contiguous-or-copied operands for every fused chunk), end-of-batch
-//     synchronization, and comm-bucket coverage and ordering.
+//   - Configuration-level (run per binding of the adaptive variables): the
+//     binding is lowered to the op program the custom-wirer executes —
+//     kernels, RecordEvent/WaitEvent edges, gather copies, comm buckets,
+//     in issue order (BuildSchedule; wire.Runner runs this same value) —
+//     and the program is checked with a vector-clock happens-before
+//     analysis for cross-stream races and wait-cycle deadlocks, fusion
+//     legality (contiguous-or-copied operands for every fused chunk),
+//     end-of-batch synchronization, and comm-bucket coverage and ordering.
 //
 // Every analysis returns Findings rather than errors so callers can collect
 // the complete picture; Report.Err() folds a non-empty report into a single

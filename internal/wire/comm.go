@@ -1,12 +1,10 @@
 package wire
 
 import (
-	"fmt"
-	"strconv"
 	"strings"
 
-	"astra/internal/enumerate"
 	"astra/internal/gpusim"
+	"astra/internal/verify"
 )
 
 // CommConfig configures event-level gradient exchange for one data-parallel
@@ -41,156 +39,6 @@ type CommConfig struct {
 // Enabled reports whether the configuration describes a real exchange.
 func (c CommConfig) Enabled() bool { return c.Workers >= 2 && c.BytesPerUs > 0 }
 
-// commKernelPrefix tags communication kernels in the device records so
-// per-batch comm statistics and trace lanes can be attributed.
-const commKernelPrefix = "allreduce."
-
-// commBucket is one gradient bucket of the current batch: its payload, the
-// unit whose dispatch completes its last gradient, and every distinct unit
-// producing one of its gradients (the readiness events must cover all of
-// them — units in the same epoch can sit on different streams).
-type commBucket struct {
-	bytes    int64
-	grads    int
-	lastUnit *enumerate.Unit
-	units    []*enumerate.Unit
-}
-
-// commState is the per-batch bucketing plan.
-type commState struct {
-	buckets []commBucket
-	// atUnit maps a schedule unit to the bucket indices it completes;
-	// buckets are launched in index order as their units dispatch.
-	atUnit map[*enumerate.Unit][]int
-	// stream is the stream comm kernels are issued on this batch.
-	stream int
-}
-
-// bucketCapBytes resolves the active bucket byte cap: the comm.bucket_kb
-// variable when the plan explores it, the configured default otherwise.
-// 0 means unbounded (a single bucket).
-func (r *Runner) bucketCapBytes() int64 {
-	if v := r.Plan.CommBucketVar; v != nil {
-		label := v.CurrentLabel()
-		if label == "all" {
-			return 0
-		}
-		kb, err := strconv.ParseInt(label, 10, 64)
-		if err != nil || kb <= 0 {
-			panic(fmt.Sprintf("wire: bad bucket label %q", label))
-		}
-		return kb * 1024
-	}
-	return int64(r.Cfg.Comm.DefaultBucketKB) * 1024
-}
-
-// commPlacement resolves the active placement label.
-func (r *Runner) commPlacement() string {
-	if v := r.Plan.CommPlaceVar; v != nil {
-		return v.CurrentLabel()
-	}
-	if r.Cfg.Comm.DefaultPlacement != "" {
-		return r.Cfg.Comm.DefaultPlacement
-	}
-	return "comm"
-}
-
-// CommStream returns the stream index dedicated to communication kernels
-// (meaningful only when comm is enabled).
-func (r *Runner) CommStream() int { return r.commStream }
-
-// prepareComm computes the batch's bucketing plan from the current variable
-// bindings: gradients pack into buckets in dispatch order, and a bucket
-// closes once its payload reaches the cap.
-func (r *Runner) prepareComm() *commState {
-	if !r.Cfg.Comm.Enabled() || len(r.Plan.Grads) == 0 {
-		return nil
-	}
-	cap := r.bucketCapBytes()
-	cs := &commState{atUnit: map[*enumerate.Unit][]int{}, stream: 0}
-	if r.commPlacement() == "comm" {
-		cs.stream = r.commStream
-	}
-	var cur commBucket
-	flush := func() {
-		if cur.grads == 0 {
-			return
-		}
-		cs.atUnit[cur.lastUnit] = append(cs.atUnit[cur.lastUnit], len(cs.buckets))
-		cs.buckets = append(cs.buckets, cur)
-		cur = commBucket{}
-	}
-	for _, g := range r.Plan.Grads {
-		cur.bytes += g.Bytes
-		cur.grads++
-		cur.lastUnit = g.Unit
-		if len(cur.units) == 0 || cur.units[len(cur.units)-1] != g.Unit {
-			cur.units = append(cur.units, g.Unit)
-		}
-		if cap > 0 && cur.bytes >= cap {
-			flush()
-		}
-	}
-	flush()
-	return cs
-}
-
-// launchBucketAllReduce issues one bucket's ring all-reduce: a readiness
-// event on every stream that produced one of the bucket's gradients,
-// cross-stream waits, then 2·(n−1) step kernels. Each step moves bytes/n
-// over one link (§: classic two-phase ring), so its kernel runs for the
-// serialization time plus the per-hop latency. With identical deterministic
-// replicas, every worker reaches the readiness events at the same simulated
-// time, so gating on the local events is exactly the global ring
-// dependency; under per-worker noise it is the optimistic bound, and the
-// cluster step still aggregates as the max over workers.
-//
-// Covering every producing stream matters: a bucket can span units of the
-// same epoch assigned to different streams, and the dispatch-order trigger
-// (the last unit) says nothing about the other streams' progress. The plan
-// verifier's comm.order analysis checks exactly this edge.
-func (r *Runner) launchBucketAllReduce(st *dispatchState, cs *commState, bucket int, producedOn int) {
-	b := cs.buckets[bucket]
-	readyOn := map[int]bool{}
-	for _, u := range b.units {
-		s, ok := st.unitStream[u]
-		if !ok {
-			s = producedOn
-		}
-		if readyOn[s] {
-			continue
-		}
-		readyOn[s] = true
-		ready := r.recordEvent(st, s)
-		if cs.stream != s {
-			r.Dev.WaitEventTag(cs.stream, ready, "bucket")
-			st.events++
-		}
-	}
-	n := r.Cfg.Comm.Workers
-	steps := 2 * (n - 1)
-	perStepUs := float64(b.bytes)/float64(n)/r.Cfg.Comm.BytesPerUs + r.Cfg.Comm.LatencyUs
-	for k := 0; k < steps; k++ {
-		r.launch(st, cs.stream, gpusim.KernelSpec{
-			Name:       fmt.Sprintf("%sb%d.s%d", commKernelPrefix, bucket, k),
-			Tiles:      1,
-			TileTimeUs: perStepUs,
-			SetupUs:    0.5,
-		})
-	}
-}
-
-// maybeLaunchComm fires the all-reduce of every bucket the just-dispatched
-// unit completes.
-func (r *Runner) maybeLaunchComm(st *dispatchState, cs *commState, u *enumerate.Unit, stream int) {
-	if cs == nil {
-		return
-	}
-	for _, b := range cs.atUnit[u] {
-		r.launchBucketAllReduce(st, cs, b, stream)
-	}
-}
-
 // commStats scans the device records for communication kernels and fills
 // the batch result's comm accounting: total link-busy time, the span from
 // first to last comm kernel, and the kernel count.
@@ -198,7 +46,7 @@ func commStats(recs []*gpusim.KernelRecord, res *BatchResult) {
 	first, last := 0.0, 0.0
 	seen := false
 	for _, rec := range recs {
-		if !strings.HasPrefix(rec.Name, commKernelPrefix) {
+		if !strings.HasPrefix(rec.Name, verify.RingStepPrefix) {
 			continue
 		}
 		res.CommKernels++

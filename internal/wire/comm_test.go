@@ -91,21 +91,18 @@ func TestBucketPartitionRespectsCap(t *testing.T) {
 	s := commSession(t, 4, false, func(cfg *SessionConfig) {
 		cfg.Comm.DefaultBucketKB = 1 // 1 KB cap: tiny model grads overflow it
 	})
-	cs := s.Runner.prepareComm()
-	if cs == nil {
-		t.Fatal("no comm state")
-	}
-	if len(cs.buckets) < 2 {
-		t.Fatalf("1 KB cap produced %d bucket(s)", len(cs.buckets))
+	buckets := s.Runner.Program().Buckets
+	if len(buckets) < 2 {
+		t.Fatalf("1 KB cap produced %d bucket(s)", len(buckets))
 	}
 	var total int64
 	grads := 0
-	for i, b := range cs.buckets {
-		total += b.bytes
-		grads += b.grads
+	for i, b := range buckets {
+		total += b.Bytes
+		grads += b.Grads
 		// Every bucket but the last must have hit the cap.
-		if i < len(cs.buckets)-1 && b.bytes < 1024 {
-			t.Fatalf("bucket %d closed below cap: %d bytes", i, b.bytes)
+		if i < len(buckets)-1 && b.Bytes < 1024 {
+			t.Fatalf("bucket %d closed below cap: %d bytes", i, b.Bytes)
 		}
 	}
 	if total != s.Plan.GradBytes() {
@@ -117,23 +114,36 @@ func TestBucketPartitionRespectsCap(t *testing.T) {
 
 	// Cap 0: one bucket with everything.
 	one := commSession(t, 4, false, nil)
-	cs = one.Runner.prepareComm()
-	if len(cs.buckets) != 1 || cs.buckets[0].bytes != one.Plan.GradBytes() {
-		t.Fatalf("uncapped partition: %+v", cs.buckets)
+	buckets = one.Runner.Program().Buckets
+	if len(buckets) != 1 || buckets[0].Bytes != one.Plan.GradBytes() {
+		t.Fatalf("uncapped partition: %+v", buckets)
 	}
+}
+
+// ringStream returns the stream the runner's program issues ring steps on.
+func ringStream(t *testing.T, r *Runner) int {
+	t.Helper()
+	for st, ops := range r.Program().Streams {
+		for _, op := range ops {
+			if op.Bucket >= 0 {
+				return st
+			}
+		}
+	}
+	t.Fatal("program has no ring steps")
+	return -1
 }
 
 func TestCommPlacementStreams(t *testing.T) {
 	overlap := commSession(t, 4, false, nil)
-	cs := overlap.Runner.prepareComm()
-	if cs.stream != overlap.Runner.CommStream() || cs.stream == 0 {
-		t.Fatalf("default placement should use the dedicated comm stream, got %d", cs.stream)
+	if st := ringStream(t, overlap.Runner); st != overlap.Runner.CommStream() || st == 0 {
+		t.Fatalf("default placement should use the dedicated comm stream, got %d", st)
 	}
 	bulk := commSession(t, 4, false, func(cfg *SessionConfig) {
 		cfg.Comm.DefaultPlacement = "main"
 	})
-	if cs = bulk.Runner.prepareComm(); cs.stream != 0 {
-		t.Fatalf("main placement should use stream 0, got %d", cs.stream)
+	if st := ringStream(t, bulk.Runner); st != 0 {
+		t.Fatalf("main placement should use stream 0, got %d", st)
 	}
 }
 

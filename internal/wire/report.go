@@ -68,13 +68,9 @@ func (s *Session) Report() ScheduleReport {
 	}
 	sort.Slice(r.Groups, func(i, j int) bool { return r.Groups[i].ID < r.Groups[j].ID })
 	if p.Opts.StreamAdapt {
-		for _, se := range p.Supers {
-			for _, ep := range se.Epochs {
-				assign := s.Runner.streamAssignment(&s.Runner.st, ep)
-				for _, st := range assign { // nodeterm:ok commutative counting
-					r.StreamSplit[st]++
-				}
-			}
+		prog := s.Runner.Program()
+		for _, u := range p.Units {
+			r.StreamSplit[prog.FirstOp[u].Stream]++
 		}
 	}
 	return r

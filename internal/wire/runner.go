@@ -1,23 +1,25 @@
 // Package wire implements Astra's runtime half: the custom-wirer (§4.7).
-// It takes the enumerator's templated schedule and, for the current binding
-// of every adaptive variable, dispatches one mini-batch onto the simulated
-// GPU — fused GEMM chunks, gather copies for non-contiguous operands,
-// multi-stream assignment with event synchronization, super-epoch barriers
-// — while wrapping every region of interest in cudaEvent pairs for
-// fine-grained profiling (§5.2). After the batch it extracts one metric per
-// adaptive variable and hands them to the explorer.
+// For the current binding of every adaptive variable it dispatches one
+// mini-batch onto the simulated GPU — fused GEMM chunks, gather copies for
+// non-contiguous operands, multi-stream assignment with event
+// synchronization, super-epoch barriers — while wrapping every region of
+// interest in cudaEvent pairs for fine-grained profiling (§5.2). The
+// schedule itself is the op program verify.BuildSchedule lowers the binding
+// to; the runner caches it and issues its ops in order. After the batch it
+// extracts one metric per adaptive variable and hands them to the explorer.
 package wire
 
 import (
 	"fmt"
 	"math"
-	"strconv"
 
+	"astra/internal/adapt"
 	"astra/internal/enumerate"
 	"astra/internal/gpusim"
 	"astra/internal/graph"
 	"astra/internal/kernels"
 	"astra/internal/obs"
+	"astra/internal/verify"
 )
 
 // RunnerConfig tunes the dispatcher.
@@ -76,7 +78,9 @@ type BatchResult struct {
 // exist to synchronize streams are schedule cost, not profiling cost.
 func (r *BatchResult) ProfilingOverheadUs() float64 { return 0.2 * float64(r.ProfEvents) }
 
-// Runner dispatches mini-batches for a plan.
+// Runner executes mini-batches for a plan. It does not decide the
+// schedule: verify lowers the plan's binding to an op program, and the
+// runner issues that program's ops to the device in order.
 type Runner struct {
 	Plan *enumerate.Plan
 	Dev  *gpusim.Device
@@ -91,14 +95,17 @@ type Runner struct {
 	traceOffsetUs float64
 	traceDetail   bool
 
-	// commStream is the dedicated communication stream (the first stream
-	// index beyond the compute streams) when comm is enabled.
-	commStream int
+	// prog is the cached op program, lowered under spec for the choice
+	// vector in choices (one entry per variable of vars). lowerings counts
+	// the lowerings so far, the first one at construction included.
+	prog      verify.Schedule
+	spec      verify.Spec
+	vars      []*adapt.Var
+	choices   []int
+	lowerings int
 
-	// st is the reusable per-batch dispatch state: RunBatch clears and
-	// reuses its maps and scratch slices instead of reallocating them every
-	// mini-batch, which removed the dominant map churn from the inner loop.
-	st dispatchState
+	// st is the reusable per-batch execution state.
+	st execState
 }
 
 // Instrument attaches a telemetry bundle; subsequent batches emit dispatch
@@ -118,108 +125,102 @@ func (r *Runner) SetTraceOffset(us float64, detail bool) {
 	r.traceDetail = detail
 }
 
-// NewRunner builds a runner and sizes the device's stream set. With comm
-// enabled, one extra stream beyond the compute streams is reserved for
-// communication kernels.
+// NewRunner builds a runner, lowers the plan's current binding, and sizes
+// the device's stream set to the program's. With comm enabled the program
+// has one stream beyond the compute streams for communication kernels.
 func NewRunner(plan *enumerate.Plan, dev *gpusim.Device, cfg RunnerConfig) *Runner {
-	if plan.Opts.StreamAdapt {
-		dev.EnsureStreams(plan.Opts.NumStreams)
-	}
-	r := &Runner{Plan: plan, Dev: dev, Cfg: cfg}
+	r := &Runner{Plan: plan, Dev: dev, Cfg: cfg, spec: verify.Spec{MaxFusion: cfg.MaxFusion}}
 	if cfg.Comm.Enabled() {
-		compute := 1
-		if plan.Opts.StreamAdapt {
-			compute = plan.Opts.NumStreams
-		}
-		r.commStream = compute
-		dev.EnsureStreams(compute + 1)
+		r.spec.Workers = cfg.Comm.Workers
+		r.spec.BucketKB = cfg.Comm.DefaultBucketKB
+		r.spec.Placement = cfg.Comm.DefaultPlacement
 	}
+	if plan.Tree != nil {
+		r.vars = plan.Tree.Vars()
+		r.choices = make([]int, len(r.vars))
+	}
+	r.lower()
+	dev.EnsureStreams(len(r.prog.Streams))
 	return r
 }
 
-// dispatchState carries the per-batch bookkeeping.
-type dispatchState struct {
+// Program returns the op program the next batch issues: the cached one
+// while the plan's choice vector is unchanged, a fresh lowering otherwise.
+// It stays valid until the binding changes.
+func (r *Runner) Program() *verify.Schedule {
+	for i, v := range r.vars {
+		if v.Current() != r.choices[i] {
+			r.lower()
+			break
+		}
+	}
+	return &r.prog
+}
+
+func (r *Runner) lower() {
+	for i, v := range r.vars {
+		r.choices[i] = v.Current()
+	}
+	r.prog.Lower(r.Plan, r.spec)
+	r.lowerings++
+}
+
+// CommStream returns the stream index dedicated to communication kernels
+// (meaningful only when comm is enabled).
+func (r *Runner) CommStream() int { return r.prog.CommStream }
+
+// execState carries the per-batch bookkeeping of issuing a program.
+type execState struct {
 	env        graph.Env
 	evalValues bool
 	kernels    int
 	events     int // all events+waits (sync bookkeeping included)
 	profEvents int // events recorded purely for profiling
-	// region events for metric extraction
-	groupSpan map[*enumerate.Unit][2]*gpusim.Event
-	unitSpan  map[*enumerate.Unit][2]*gpusim.Event
-	epochEnds map[*enumerate.Epoch][]*gpusim.Event
-	seStart   map[*enumerate.SuperEpoch]*gpusim.Event
+	// ev holds the device event each program record produced, by event ID.
+	ev []*gpusim.Event
+	// Profiling events for metric extraction: the pairs wrapping measured
+	// units, the end records of measured epochs, each super-epoch's start
+	// (nil unless one of its epochs is measured), and the batch span.
+	unitSpans []unitSpan
+	epochEnds []epochEnd
+	seStart   []*gpusim.Event
 	span      [2]*gpusim.Event
-	// cross-stream synchronization
-	prevEpochEvents []*gpusim.Event
-	prevEpochStream []int
-	// usedStreams[s] reports stream s has carried work this batch; indexed
-	// by stream ID so iteration is naturally ordered (no map-order sort).
-	usedStreams []bool
-	// unitStream records each dispatched unit's stream, so comm readiness
-	// events can cover every stream a bucket's gradients were produced on.
-	unitStream map[*enumerate.Unit]int
-	// per-epoch scratch, reused across epochs and batches
-	assign      map[*enumerate.Unit]int
-	waited      []bool
-	streamsUsed []bool
-	// barrierEvents holds the latest super-epoch barrier's record events:
-	// a stream entering the schedule for the first time after a barrier
-	// must wait on them, since the barrier's all-pairs synchronization only
-	// covered the streams used so far.
-	barrierEvents []*gpusim.Event
-	barrierStream []int
-	// comm is the batch's gradient-bucketing plan (nil when comm is off).
-	// The comm stream deliberately stays out of usedStreams: super-epoch
-	// barriers exist to isolate schedule exploration, and syncing the
-	// exchange at every barrier would serialize it behind compute again.
-	comm *commState
 }
 
-// resetState clears the runner's reusable dispatch state for a new batch.
-// Maps are cleared in place and scratch slices re-sliced to zero length so
-// their capacity carries over from batch to batch.
-func (r *Runner) resetState() *dispatchState {
+type unitSpan struct {
+	u          *enumerate.Unit
+	start, end *gpusim.Event
+}
+
+type epochEnd struct {
+	ep    *enumerate.Epoch
+	super int
+	ev    *gpusim.Event
+}
+
+// resetState clears the runner's reusable execution state for a batch of
+// prog, keeping slice capacity from batch to batch.
+func (r *Runner) resetState(prog *verify.Schedule) *execState {
 	st := &r.st
 	st.env = nil
 	st.evalValues = false
 	st.kernels, st.events, st.profEvents = 0, 0, 0
-	if st.groupSpan == nil {
-		st.groupSpan = map[*enumerate.Unit][2]*gpusim.Event{}
-		st.unitSpan = map[*enumerate.Unit][2]*gpusim.Event{}
-		st.epochEnds = map[*enumerate.Epoch][]*gpusim.Event{}
-		st.seStart = map[*enumerate.SuperEpoch]*gpusim.Event{}
-		st.unitStream = map[*enumerate.Unit]int{}
-		st.assign = map[*enumerate.Unit]int{}
-	} else {
-		clear(st.groupSpan)
-		clear(st.unitSpan)
-		clear(st.epochEnds)
-		clear(st.seStart)
-		clear(st.unitStream)
-		clear(st.assign)
-	}
-	n := r.Dev.NumStreams()
-	if cap(st.usedStreams) < n {
-		st.usedStreams = make([]bool, n)
-		st.waited = make([]bool, n)
-		st.streamsUsed = make([]bool, n)
-	} else {
-		st.usedStreams = st.usedStreams[:n]
-		st.waited = st.waited[:n]
-		st.streamsUsed = st.streamsUsed[:n]
-		for i := range st.usedStreams {
-			st.usedStreams[i] = false
-		}
-	}
-	st.usedStreams[0] = true
+	st.ev = resize(st.ev, prog.NumEvents)
+	st.seStart = resize(st.seStart, len(r.Plan.Supers))
+	st.unitSpans = st.unitSpans[:0]
+	st.epochEnds = st.epochEnds[:0]
 	st.span = [2]*gpusim.Event{}
-	st.prevEpochEvents = st.prevEpochEvents[:0]
-	st.prevEpochStream = st.prevEpochStream[:0]
-	st.barrierEvents = st.barrierEvents[:0]
-	st.barrierStream = st.barrierStream[:0]
-	st.comm = nil
 	return st
+}
+
+// resize returns a cleared slice of n events, reusing s's storage.
+func resize(s []*gpusim.Event, n int) []*gpusim.Event {
+	if cap(s) < n {
+		return make([]*gpusim.Event, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // RunBatch dispatches one mini-batch with the plan's current variable
@@ -227,11 +228,11 @@ func (r *Runner) resetState() *dispatchState {
 // oracle in dispatch order (catching any dependency-violating schedule);
 // otherwise only timing is simulated.
 func (r *Runner) RunBatch(inputs graph.Env, params graph.Env) BatchResult {
+	prog := r.Program()
 	dev := r.Dev
 	dev.Reset()
-	st := r.resetState()
+	st := r.resetState(prog)
 	st.evalValues = inputs != nil
-	st.comm = r.prepareComm()
 	if st.evalValues {
 		st.env = make(graph.Env, len(r.Plan.G.Values))
 		for _, v := range r.Plan.G.Inputs {
@@ -258,23 +259,13 @@ func (r *Runner) RunBatch(inputs graph.Env, params graph.Env) BatchResult {
 	if r.Cfg.Profile {
 		st.span[0] = r.recordProfEvent(st, 0)
 	}
-	for _, se := range r.Plan.Supers {
-		if r.Cfg.Profile && r.multiStream() && r.superEpochRecording(se) {
-			st.seStart[se] = r.recordProfEvent(st, 0)
+	for i, se := range r.Plan.Supers {
+		if r.Cfg.Profile && r.superEpochRecording(se) {
+			st.seStart[i] = r.recordProfEvent(st, 0)
 		}
-		for _, ep := range se.Epochs {
-			r.dispatchEpoch(st, se, ep)
-		}
-		r.superEpochBarrier(st)
+		r.issue(st, prog, i, prog.Issue[prog.Supers[i]:prog.Supers[i+1]])
 	}
-	// The batch ends only when the gradient exchange has: the optimizer
-	// consumes the reduced gradients, so stream 0 joins on the comm stream
-	// before the end-of-batch span is recorded.
-	if st.comm != nil && st.comm.stream != 0 {
-		done := r.recordEvent(st, st.comm.stream)
-		r.Dev.WaitEventTag(0, done, "commjoin")
-		st.events++
-	}
+	r.issue(st, prog, -1, prog.Issue[prog.Supers[len(r.Plan.Supers)]:])
 	if r.Cfg.Profile {
 		st.span[1] = r.recordProfEvent(st, 0)
 	}
@@ -288,7 +279,7 @@ func (r *Runner) RunBatch(inputs graph.Env, params graph.Env) BatchResult {
 		ProfEvents: st.profEvents,
 		Env:        st.env,
 	}
-	if st.comm != nil {
+	if len(prog.Buckets) > 0 {
 		commStats(dev.Records(), &res)
 	}
 	if r.Cfg.Profile {
@@ -315,14 +306,10 @@ func (r *Runner) superEpochRecording(se *enumerate.SuperEpoch) bool {
 	return false
 }
 
-func (r *Runner) multiStream() bool {
-	return r.Plan.Opts.StreamAdapt && r.Plan.Opts.NumStreams >= 2
-}
-
 // recordEvent places a synchronization event and counts it.
 //
 //astra:hotpath
-func (r *Runner) recordEvent(st *dispatchState, stream int) *gpusim.Event {
+func (r *Runner) recordEvent(st *execState, stream int) *gpusim.Event {
 	st.events++
 	return r.Dev.RecordEvent(stream)
 }
@@ -332,152 +319,63 @@ func (r *Runner) recordEvent(st *dispatchState, stream int) *gpusim.Event {
 // events exist for correctness regardless of profiling.
 //
 //astra:hotpath
-func (r *Runner) recordProfEvent(st *dispatchState, stream int) *gpusim.Event {
+func (r *Runner) recordProfEvent(st *execState, stream int) *gpusim.Event {
 	st.profEvents++
 	return r.recordEvent(st, stream)
 }
 
-// streamAssignment assigns each unit of the epoch a stream: class variables
-// say how many of each equivalence class go to stream 1 (§4.5.5); classes
-// without a variable (capped or stream adaptation off) stay on stream 0.
-// The returned map is the state's scratch map, valid until the next epoch.
+// issue hands a stretch of the program to the device in issue order. A
+// unit's ops go through dispatchUnit, records keep their device event for
+// the waits naming it, and ring steps launch at the fabric's per-step
+// time. super is the super-epoch the stretch belongs to (-1 for the batch
+// tail); its measured epochs' end records are kept for their metrics.
 //
 //astra:hotpath
-func (r *Runner) streamAssignment(st *dispatchState, ep *enumerate.Epoch) map[*enumerate.Unit]int {
-	if st.assign == nil {
-		st.assign = map[*enumerate.Unit]int{} // lint:ok hotpath lazy scratch-map init, once per runner state
-	}
-	out := st.assign
-	clear(out)
-	if !r.multiStream() {
-		for _, u := range ep.Units {
-			out[u] = 0
-		}
-		return out
-	}
-	aux := r.Plan.Opts.NumStreams - 1 // streams 1..S-1 take the moved units
-	for _, cls := range ep.Classes {
-		v := r.Plan.StreamVars[cls]
-		k := 0
-		if v != nil {
-			k, _ = strconv.Atoi(v.CurrentLabel())
-		}
-		for i, u := range cls.Units {
-			if i < k {
-				// Spread the moved units across the auxiliary streams
-				// round-robin; with 2 streams this is the paper's
-				// "k to stream 1" split.
-				out[u] = 1 + i%aux
-			} else {
-				out[u] = 0
+func (r *Runner) issue(st *execState, prog *verify.Schedule, super int, order []verify.Pos) {
+	for i := 0; i < len(order); i++ {
+		pos := order[i]
+		op := &prog.Streams[pos.Stream][pos.Index]
+		switch {
+		case op.Unit != nil:
+			// A unit's ops are contiguous in issue order.
+			j := i + 1
+			for j < len(order) && prog.Streams[order[j].Stream][order[j].Index].Unit == op.Unit {
+				j++
 			}
-		}
-	}
-	return out
-}
-
-func (r *Runner) dispatchEpoch(st *dispatchState, se *enumerate.SuperEpoch, ep *enumerate.Epoch) {
-	assign := r.streamAssignment(st, ep)
-	// Cross-stream ordering: before using a stream in this epoch, wait on
-	// the previous epoch's end events of the *other* streams. A stream
-	// entering the schedule for the first time additionally waits on the
-	// latest super-epoch barrier's events: the barrier's all-pairs
-	// synchronization only covered the streams used before it, so without
-	// the catch-up a fresh stream would race work from earlier super-epochs
-	// (found by the plan verifier's happens-before analysis).
-	waited := st.waited
-	for i := range waited {
-		waited[i] = false
-	}
-	ensureOrdered := func(stream int) {
-		if waited[stream] {
-			return
-		}
-		waited[stream] = true
-		if !st.usedStreams[stream] {
-			for i, ev := range st.barrierEvents {
-				if st.barrierStream[i] != stream {
-					r.Dev.WaitEventTag(stream, ev, "barrier")
-					st.events++
-				}
+			r.dispatchUnit(st, prog, op.Unit, pos.Stream, order[i:j])
+			i = j - 1
+		case op.Kind == verify.OpKernel:
+			r.launch(st, pos.Stream, r.ringStep(prog, op))
+		case op.Kind == verify.OpRecord:
+			ev := r.recordEvent(st, pos.Stream)
+			st.ev[op.Event] = ev
+			if op.Epoch != nil && super >= 0 && st.seStart[super] != nil && r.Plan.EpochVarID[op.Epoch] != "" {
+				st.epochEnds = append(st.epochEnds, epochEnd{op.Epoch, super, ev})
 			}
-		}
-		for i, ev := range st.prevEpochEvents {
-			if st.prevEpochStream[i] != stream {
-				r.Dev.WaitEventTag(stream, ev, "epoch")
-				st.events++ // waits cost the same bookkeeping CPU time
-			}
-		}
-	}
-	streamsUsed := st.streamsUsed
-	for i := range streamsUsed {
-		streamsUsed[i] = false
-	}
-	for _, u := range ep.Units {
-		stream := assign[u]
-		ensureOrdered(stream)
-		streamsUsed[stream] = true
-		st.usedStreams[stream] = true
-		st.unitStream[u] = stream
-		r.dispatchUnit(st, u, stream)
-		r.maybeLaunchComm(st, st.comm, u, stream)
-	}
-	// Record this epoch's end on each used stream for the next epoch and
-	// for the epoch completion metric.
-	if r.multiStream() {
-		st.prevEpochEvents = st.prevEpochEvents[:0]
-		st.prevEpochStream = st.prevEpochStream[:0]
-		var ends []*gpusim.Event
-		for s := 0; s < r.Plan.Opts.NumStreams; s++ {
-			if !streamsUsed[s] {
-				continue
-			}
-			ev := r.recordEvent(st, s)
-			st.prevEpochEvents = append(st.prevEpochEvents, ev)
-			st.prevEpochStream = append(st.prevEpochStream, s)
-			ends = append(ends, ev)
-		}
-		if r.Cfg.Profile && r.Plan.EpochVarID[ep] != "" && st.seStart[se] != nil {
-			st.epochEnds[ep] = ends
+		case op.Kind == verify.OpWait:
+			r.Dev.WaitEventTag(pos.Stream, st.ev[op.Event], op.Tag)
+			st.events++ // waits cost the same bookkeeping CPU time
 		}
 	}
 }
 
-// superEpochBarrier force-synchronizes all streams (§4.5.3), resetting
-// scheduling history so super-epochs explore independently.
-func (r *Runner) superEpochBarrier(st *dispatchState) {
-	if !r.multiStream() {
-		return
+// ringStep is the kernel of one ring all-reduce step. Each step moves
+// bytes/n over one link (the classic two-phase ring), so it runs for the
+// serialization time plus the per-hop latency. With identical
+// deterministic replicas every worker reaches the readiness events at the
+// same simulated time, so gating on the local events is exactly the global
+// ring dependency; under per-worker noise it is the optimistic bound, and
+// the cluster step still aggregates as the max over workers.
+//
+//astra:hotpath
+func (r *Runner) ringStep(prog *verify.Schedule, op *verify.Op) gpusim.KernelSpec {
+	c := r.Cfg.Comm
+	return gpusim.KernelSpec{
+		Name:       op.Name,
+		Tiles:      1,
+		TileTimeUs: float64(prog.Buckets[op.Bucket].Bytes)/float64(c.Workers)/c.BytesPerUs + c.LatencyUs,
+		SetupUs:    0.5,
 	}
-	// usedStreams is indexed by stream ID, so iterating it is already the
-	// sorted order determinism requires: RecordEvent/WaitEvent each advance
-	// the simulated CPU clock, so an unordered walk would make event
-	// timestamps differ between identical runs.
-	streams := make([]int, 0, len(st.usedStreams))
-	for s, used := range st.usedStreams {
-		if used {
-			streams = append(streams, s)
-		}
-	}
-	evs := make([]*gpusim.Event, len(streams))
-	for i, s := range streams {
-		evs[i] = r.recordEvent(st, s)
-	}
-	for i, s := range streams {
-		for j, ev := range evs {
-			if j == i {
-				continue // a stream need not wait on its own event
-			}
-			r.Dev.WaitEventTag(s, ev, "barrier")
-			st.events++
-		}
-	}
-	st.prevEpochEvents = nil
-	st.prevEpochStream = nil
-	// Keep the barrier's records: a stream first used after this barrier
-	// waits on them to catch up with everything dispatched before it.
-	st.barrierEvents = append(st.barrierEvents[:0], evs...)
-	st.barrierStream = append(st.barrierStream[:0], streams...)
 }
 
 // unitLabel names a schedule unit for the dispatch trace track.
@@ -492,10 +390,10 @@ func unitLabel(u *enumerate.Unit) string {
 	}
 }
 
-// dispatchUnit launches the kernels of one schedule unit on its stream.
+// dispatchUnit launches one unit's ops on its stream.
 //
 //astra:hotpath
-func (r *Runner) dispatchUnit(st *dispatchState, u *enumerate.Unit, stream int) {
+func (r *Runner) dispatchUnit(st *execState, prog *verify.Schedule, u *enumerate.Unit, stream int, ops []verify.Pos) {
 	if r.obs != nil && r.traceDetail {
 		t0 := r.Dev.CPUTimeUs()
 		// lint:ok hotpath trace-detail closure, only runs when -trace-detail is on
@@ -526,12 +424,14 @@ func (r *Runner) dispatchUnit(st *dispatchState, u *enumerate.Unit, stream int) 
 	switch u.Kind {
 	case enumerate.UnitSingle:
 		n := u.Nodes[0]
-		if r.Cfg.EmbeddingHostTransfer && (n.Op == graph.OpLookup || n.Op == graph.OpLookupGrad) {
-			// XLA's embedding pathology: the lookup bounces through the
-			// host (§6.6) instead of staying on the device.
-			r.Dev.HostTransfer(stream, int64(n.Out.Shape.NumElements())*8)
+		for range ops {
+			if r.Cfg.EmbeddingHostTransfer && (n.Op == graph.OpLookup || n.Op == graph.OpLookupGrad) {
+				// XLA's embedding pathology: the lookup bounces through the
+				// host (§6.6) instead of staying on the device.
+				r.Dev.HostTransfer(stream, int64(n.Out.Shape.NumElements())*8)
+			}
+			r.launch(st, stream, kernels.ForNode(n, r.libFor(u)))
 		}
-		r.launch(st, stream, kernels.ForNode(n, r.libFor(u)))
 		r.eval(st, n)
 	case enumerate.UnitEWChain:
 		elems := 0
@@ -540,38 +440,18 @@ func (r *Runner) dispatchUnit(st *dispatchState, u *enumerate.Unit, stream int) 
 				elems = e
 			}
 		}
-		r.launch(st, stream, kernels.FusedElementwise(len(u.Nodes), elems))
+		for range ops {
+			r.launch(st, stream, kernels.FusedElementwise(len(u.Nodes), elems))
+		}
 		for _, n := range u.Nodes {
 			r.eval(st, n)
 		}
 	case enumerate.UnitGEMMGroup:
-		r.dispatchGroup(st, u, stream)
+		r.dispatchGroup(st, prog, u, stream, ops)
 	}
 	if profileUnit {
-		end := r.recordProfEvent(st, stream)
-		if u.Kind == enumerate.UnitGEMMGroup {
-			st.groupSpan[u] = [2]*gpusim.Event{start, end}
-		} else {
-			st.unitSpan[u] = [2]*gpusim.Event{start, end}
-		}
+		st.unitSpans = append(st.unitSpans, unitSpan{u, start, r.recordProfEvent(st, stream)})
 	}
-}
-
-// chunkSize reads the group's chunk variable (or the fixed policy).
-//
-//astra:hotpath
-func (r *Runner) chunkSize(u *enumerate.Unit) int {
-	if v := r.Plan.ChunkVars[u.Group]; v != nil {
-		c, err := strconv.Atoi(v.CurrentLabel())
-		if err != nil || c < 1 {
-			panic(fmt.Sprintf("wire: bad chunk label %q", v.CurrentLabel()))
-		}
-		return c
-	}
-	if r.Cfg.MaxFusion {
-		return len(u.Group.GEMMs)
-	}
-	return 1
 }
 
 // libFor reads the unit's kernel-library variable (or the default).
@@ -584,46 +464,30 @@ func (r *Runner) libFor(u *enumerate.Unit) kernels.Library {
 	return kernels.CuBLAS
 }
 
-// dispatchGroup launches a fusion group at the current chunk granularity:
-// ceil(n/chunk) fused GEMMs, gather copies when the active allocation does
-// not keep the chunk's operands contiguous, and the residual accumulator
-// adds of a partially-fused ladder.
+// dispatchGroup launches a fusion group's ops: each GEMM chunk as one
+// GEMM (fused over its members when it has several), each gather copy
+// sized to its chunk's operands, and a ladder's accumulator adds.
 //
 //astra:hotpath
-func (r *Runner) dispatchGroup(st *dispatchState, u *enumerate.Unit, stream int) {
+func (r *Runner) dispatchGroup(st *execState, prog *verify.Schedule, u *enumerate.Unit, stream int, ops []verify.Pos) {
 	grp := u.Group
-	chunk := r.chunkSize(u)
 	lib := r.libFor(u)
-	contiguous := grp.ReqID != "" && r.Plan.Alloc().Contiguous(grp.ReqID)
-
-	n := len(grp.GEMMs)
-	numChunks := (n + chunk - 1) / chunk
-	for c := 0; c < numChunks; c++ {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		members := grp.GEMMs[lo:hi]
-		if len(members) == 1 {
-			r.launch(st, stream, kernels.ForNode(members[0], lib))
-			continue
-		}
-		if !contiguous {
-			// Gather the chunk's operands into a scratch block first.
+	for _, pos := range ops {
+		op := &prog.Streams[pos.Stream][pos.Index]
+		members := grp.GEMMs[op.First : op.First+op.Members]
+		switch {
+		case op.Members == 0:
+			r.launch(st, stream, kernels.Elementwise("add", grp.GEMMs[0].Out.Shape.NumElements()))
+		case op.Kind == verify.OpCopy:
 			var bytes int64
 			for _, m := range members {
 				bytes += int64(operandBytes(grp, m))
 			}
 			r.launch(st, stream, kernels.Copy(bytes))
-		}
-		r.launch(st, stream, kernels.GEMM(lib, fusedShape(grp, members)))
-	}
-	// Residual ladder accumulation across chunk outputs.
-	if grp.Kind == enumerate.Ladder && numChunks > 1 {
-		elems := grp.GEMMs[0].Out.Shape.NumElements()
-		for i := 0; i < numChunks-1; i++ {
-			r.launch(st, stream, kernels.Elementwise("add", elems))
+		case op.Members == 1:
+			r.launch(st, stream, kernels.ForNode(members[0], lib))
+		default:
+			r.launch(st, stream, kernels.GEMM(lib, fusedShape(grp, members)))
 		}
 	}
 	for _, node := range u.Nodes {
@@ -664,7 +528,7 @@ func fusedShape(grp *enumerate.FusionGroup, members []*graph.Node) kernels.GEMMS
 // launch forwards one kernel spec to the device and counts it.
 //
 //astra:hotpath
-func (r *Runner) launch(st *dispatchState, stream int, spec gpusim.KernelSpec) {
+func (r *Runner) launch(st *execState, stream int, spec gpusim.KernelSpec) {
 	r.Dev.AdvanceCPU(r.Cfg.PerOpCPUUs)
 	r.Dev.Launch(stream, spec)
 	st.kernels++
@@ -674,7 +538,7 @@ func (r *Runner) launch(st *dispatchState, stream int, spec gpusim.KernelSpec) {
 // transposes its inputs read through.
 //
 //astra:hotpath
-func (r *Runner) eval(st *dispatchState, n *graph.Node) {
+func (r *Runner) eval(st *execState, n *graph.Node) {
 	if !st.evalValues {
 		return
 	}
@@ -696,48 +560,36 @@ func (r *Runner) eval(st *dispatchState, n *graph.Node) {
 // metrics the explorer observes (§4.7): per-group times for chunk and
 // library variables, per-epoch completion times for the stream composites,
 // and the end-to-end batch time for the allocation policy.
-func (r *Runner) extractMetrics(st *dispatchState, res *BatchResult) {
-	// Each unit maps to its own group/kernel var, so the writes below hit
-	// distinct metric keys in any order.
-	for u, span := range st.groupSpan { // nodeterm:ok distinct metric key per unit
-		t := gpusim.Elapsed(span[0], span[1])
-		if v := r.Plan.ChunkVars[u.Group]; v != nil {
-			res.Metrics[v.ID] = t
+func (r *Runner) extractMetrics(st *execState, res *BatchResult) {
+	for _, sp := range st.unitSpans {
+		t := gpusim.Elapsed(sp.start, sp.end)
+		if sp.u.Kind == enumerate.UnitGEMMGroup {
+			if v := r.Plan.ChunkVars[sp.u.Group]; v != nil {
+				res.Metrics[v.ID] = t
+			}
 		}
-		if v := r.Plan.KernelVars[u]; v != nil {
+		if v := r.Plan.KernelVars[sp.u]; v != nil {
 			res.Metrics[v.ID] = t
 		}
 	}
-	for u, span := range st.unitSpan { // nodeterm:ok distinct metric key per unit
-		if v := r.Plan.KernelVars[u]; v != nil {
-			res.Metrics[v.ID] = gpusim.Elapsed(span[0], span[1])
-		}
-	}
-	for _, se := range r.Plan.Supers {
-		start, ok := st.seStart[se]
-		if !ok {
-			continue
-		}
-		for _, ep := range se.Epochs {
-			id := r.Plan.EpochVarID[ep]
-			ends := st.epochEnds[ep]
-			if id == "" || len(ends) == 0 {
-				continue
+	// An epoch's end records are adjacent; its completion time is the
+	// latest of them.
+	for i := 0; i < len(st.epochEnds); {
+		e := st.epochEnds[i]
+		end := math.Inf(-1)
+		for ; i < len(st.epochEnds) && st.epochEnds[i].ep == e.ep; i++ {
+			if t := st.epochEnds[i].ev.TimeUs(); t > end {
+				end = t
 			}
-			end := math.Inf(-1)
-			for _, ev := range ends {
-				if t := ev.TimeUs(); t > end {
-					end = t
-				}
-			}
-			res.Metrics[id] = end - start.TimeUs()
-			// Class variables inside the epoch share the epoch metric: the
-			// composite exhaustive variable is the one recorded, but the
-			// explorer may also attribute to leaves when epochs are tiny.
-			for _, cls := range ep.Classes {
-				if v := r.Plan.StreamVars[cls]; v != nil {
-					res.Metrics[v.ID] = res.Metrics[id]
-				}
+		}
+		id := r.Plan.EpochVarID[e.ep]
+		res.Metrics[id] = end - st.seStart[e.super].TimeUs()
+		// Class variables inside the epoch share the epoch metric: the
+		// composite exhaustive variable is the one recorded, but the
+		// explorer may also attribute to leaves when epochs are tiny.
+		for _, cls := range e.ep.Classes {
+			if v := r.Plan.StreamVars[cls]; v != nil {
+				res.Metrics[v.ID] = res.Metrics[id]
 			}
 		}
 	}

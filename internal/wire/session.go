@@ -69,16 +69,14 @@ type Session struct {
 	TraceDetailBatches int
 	wiredBatches       int
 
-	// VerifyConfigs counts the distinct configurations the plan verifier
-	// checked this session (the schedule-unit graph and allocation
-	// strategies are checked once at wire time; each explored binding is
-	// checked before its first measurement). VerifyFindings counts the
-	// findings; any finding folds into Err as a sticky *verify.Error.
+	// VerifyConfigs counts the programs the plan verifier checked this
+	// session (the schedule-unit graph and allocation strategies are
+	// checked once at wire time; each program the runner lowers is checked
+	// before it runs). VerifyFindings counts the findings; any finding
+	// folds into Err as a sticky *verify.Error.
 	VerifyConfigs  int
 	VerifyFindings int
-	verifyOn       bool
-	verifySpec     verify.Spec
-	verifySeen     map[string]bool
+	verified       int // the runner lowering last checked
 	verifyErr      *verify.Error
 	stepVerify     []string // findings surfaced by the current Step
 
@@ -236,11 +234,6 @@ type SessionConfig struct {
 	// thaw re-plans from refreshed knowledge). nil disables the prior;
 	// frozen choices are measured bests either way.
 	Prior adapt.Prior
-	// SkipVerify disables the plan verifier. By default the session
-	// verifies the graph, unit partition and every allocation strategy at
-	// wire time, and each explored configuration before measuring it;
-	// findings surface as verify.* metrics and a sticky Err.
-	SkipVerify bool
 }
 
 // NewSession compiles the model and prepares the runtime.
@@ -292,24 +285,14 @@ func NewSession(m *models.Model, cfg SessionConfig) *Session {
 	if plan.Tree != nil {
 		s.Exp = adapt.NewExplorerPrior(plan.Tree, s.Ix, cfg.ProfileContext, cfg.Prior)
 	}
-	if !cfg.SkipVerify {
-		s.verifyOn = true
-		s.verifySeen = map[string]bool{}
-		s.verifySpec = verify.Spec{
-			Workers:   cfg.Comm.Workers,
-			BucketKB:  cfg.Comm.DefaultBucketKB,
-			Placement: cfg.Comm.DefaultPlacement,
-			MaxFusion: cfg.Runner.MaxFusion,
-		}
-		// Plan-level analyses run once: the graph IR, the unit partition,
-		// and every allocation strategy the explorer could pick.
-		r := verify.CheckGraph(plan.G)
-		r.Merge(verify.CheckUnits(plan))
-		for _, a := range plan.Allocs {
-			r.Merge(verify.CheckStrategy(a, plan.G.Values, plan.Requests))
-		}
-		s.recordVerify(r)
+	// Plan-level analyses run once: the graph IR, the unit partition, and
+	// every allocation strategy the explorer could pick.
+	r := verify.CheckGraph(plan.G)
+	r.Merge(verify.CheckUnits(plan))
+	for _, a := range plan.Allocs {
+		r.Merge(verify.CheckStrategy(a, plan.G.Values, plan.Requests))
 	}
+	s.recordVerify(r)
 	return s
 }
 
@@ -337,20 +320,20 @@ func (s *Session) recordVerify(r *verify.Report) {
 	}
 }
 
-// verifyStep checks the configuration the next batch will run under, once
-// per distinct binding. The explorer advanced the variables at the end of
-// the previous Step, so the current bindings are exactly what dispatches.
+// verifyStep checks the program the next batch runs whenever the runner
+// has lowered a new one. The explorer advanced the variables at the end of
+// the previous Step, so the runner's program for the current bindings is
+// exactly what dispatches.
 func (s *Session) verifyStep() {
-	if !s.verifyOn {
-		return
-	}
 	s.stepVerify = s.stepVerify[:0]
-	sig := verify.Signature(s.Plan)
-	if s.verifySeen[sig] {
+	prog := s.Runner.Program()
+	if s.Runner.lowerings == s.verified {
 		return
 	}
-	s.verifySeen[sig] = true
-	s.recordVerify(verify.CheckConfig(s.Plan, s.verifySpec))
+	s.verified = s.Runner.lowerings
+	r := verify.CheckSchedule(s.Plan, prog, verify.BindingLabel(s.Plan))
+	r.Configs = 1
+	s.recordVerify(r)
 }
 
 // Instrument attaches a telemetry bundle to the whole pipeline: the runner
