@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet verify lint escape-check escape-baseline race bench bench-json experiments experiments-quick cover cover-check analyze whatif serve serve-smoke costmodel clean
+.PHONY: all build test test-short vet verify lint race bench bench-json experiments experiments-quick cover cover-check analyze whatif serve serve-smoke costmodel clean
 
 all: build lint test race
 
@@ -15,23 +15,14 @@ vet:
 # Formatting + static checks; fails listing the unformatted files, if any.
 # astra-lint is the in-tree static-analysis suite (internal/lint, see
 # docs/LINT.md): the determinism rule family, lock discipline over the
-# concurrent packages, and the //astra:hotpath allocation rule — all rules,
-# every internal/ and cmd/ package, one worker per CPU (output is
-# byte-identical to a serial run).
+# concurrent packages, and the escape rule, which reports the compiler's
+# heap-allocation notes (-gcflags=-m) inside //astra:hotpath functions —
+# all rules, every internal/ and cmd/ package, one worker per CPU (output
+# is byte-identical to a serial run).
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/astra-lint -parallel 0
-
-# Escape-analysis regression gate: compile with -gcflags=-m and diff the
-# heap-allocation notes inside //astra:hotpath functions against the
-# committed baseline. New escapes fail; after a deliberate change,
-# regenerate with `make escape-baseline`.
-escape-check:
-	$(GO) run ./cmd/astra-escape -baseline .github/escape-baseline.txt
-
-escape-baseline:
-	$(GO) run ./cmd/astra-escape -baseline .github/escape-baseline.txt -update
 
 # Plan verifier sweep: prove every model x preset x worker-count
 # combination free of races, deadlocks, aliasing and illegal fusion.

@@ -1,7 +1,8 @@
 // astra-lint runs Astra's static-analysis rule suite (internal/lint) over
 // the repository's packages: the determinism family (time-now, wall-clock,
 // env-read, global-rand, map-range), the lock-discipline rule (lockcheck)
-// and the hot-path allocation rule (hotpath).
+// and the hot-path allocation rule (escape), which reads the compiler's
+// escape analysis for every //astra:hotpath function.
 //
 //	astra-lint                      # all rules, every internal/ and cmd/ package
 //	astra-lint internal/wire        # explicit package dirs (root-relative)
@@ -29,7 +30,7 @@ import (
 	"sync"
 
 	"astra/internal/lint"
-	_ "astra/internal/lint/hotpath"
+	_ "astra/internal/lint/escape"
 	_ "astra/internal/lint/lockcheck"
 	_ "astra/internal/lint/nodeterm"
 	"astra/internal/parallel"

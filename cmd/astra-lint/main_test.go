@@ -9,7 +9,7 @@ import (
 
 // fixtureRoot builds a throwaway module with one dirty package covering
 // every rule family: a determinism violation, a lock-discipline violation
-// and a hot-path allocation, plus one suppressed finding.
+// and a hot-path heap allocation, plus one suppressed finding.
 func fixtureRoot(t *testing.T) string {
 	t.Helper()
 	root := t.TempDir()
@@ -64,7 +64,7 @@ func Quiet(m map[string]int) int {
 // these bytes.
 const golden = `pkg/bad.go:12:29: [time-now] time.Now breaks replay; use the session's simulated clock
 pkg/bad.go:16:2: [lockcheck] mu held across channel send in Blocked; release the lock before blocking
-pkg/bad.go:22:9: [hotpath] fmt.Sprintf allocates and boxes its operands in hotpath function Hot
+pkg/bad.go:22:27: [escape] n escapes to heap in hotpath function Hot
 3 finding(s)
 `
 
@@ -95,7 +95,7 @@ func TestGoldenJSON(t *testing.T) {
 		`"file": "pkg/bad.go"`,
 		`"rule": "time-now"`,
 		`"rule": "lockcheck"`,
-		`"rule": "hotpath"`,
+		`"rule": "escape"`,
 		`"line": 12`,
 	} {
 		if !strings.Contains(got, want) {
@@ -146,7 +146,7 @@ func TestRuleSelection(t *testing.T) {
 func TestScopedRunSkipsOutOfScopePackage(t *testing.T) {
 	root := fixtureRoot(t)
 	// Without -force, pkg/ is outside every scoped rule; only the
-	// annotation-driven hotpath rule (and the suppression meta-rule) apply.
+	// annotation-driven escape rule (and the suppression meta-rule) apply.
 	var out, errOut strings.Builder
 	code := run([]string{"-root", root, "pkg"}, &out, &errOut)
 	if code != 1 {
@@ -155,7 +155,7 @@ func TestScopedRunSkipsOutOfScopePackage(t *testing.T) {
 	if strings.Contains(out.String(), "time-now") || strings.Contains(out.String(), "lockcheck") {
 		t.Errorf("scoped rules ran outside their scope: %s", out.String())
 	}
-	if !strings.Contains(out.String(), "hotpath") {
+	if !strings.Contains(out.String(), "[escape]") {
 		t.Errorf("annotation-driven rule missing: %s", out.String())
 	}
 }
@@ -165,7 +165,7 @@ func TestListCatalog(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d", code)
 	}
-	for _, rule := range []string{"time-now", "wall-clock", "env-read", "global-rand", "map-range", "lockcheck", "hotpath"} {
+	for _, rule := range []string{"time-now", "wall-clock", "env-read", "global-rand", "map-range", "lockcheck", "escape"} {
 		if !strings.Contains(out.String(), rule) {
 			t.Errorf("catalog missing %s:\n%s", rule, out.String())
 		}
@@ -180,6 +180,56 @@ func TestRunErrors(t *testing.T) {
 	}
 	if code := run([]string{"-nosuchflag"}, &out, &errOut); code != 2 {
 		t.Fatalf("bad flag: exit %d, want 2", code)
+	}
+}
+
+// TestInjectedEscapeFailsGate: in a module whose one annotated function
+// has a justified pool-growth escape, astra-lint passes; add one
+// allocation to that function and it must exit 1 naming it.
+func TestInjectedEscapeFailsGate(t *testing.T) {
+	root := t.TempDir()
+	pool := filepath.Join(root, "internal", "pool")
+	if err := os.MkdirAll(pool, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "go.mod"), []byte("module fix\n\ngo 1.22\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src := `package pool
+
+type Rec struct{ N int }
+
+var sink *Rec
+var leak []int
+
+//astra:hotpath
+func Grow() *Rec {
+	// lint:ok escape pool growth, amortized across reuse
+	r := &Rec{}
+	sink = r
+	INJECT
+	return r
+}
+`
+	lintWith := func(inject string) (int, string) {
+		t.Helper()
+		code := strings.Replace(src, "INJECT", inject, 1)
+		if err := os.WriteFile(filepath.Join(pool, "pool.go"), []byte(code), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out, errOut strings.Builder
+		return run([]string{"-root", root}, &out, &errOut), out.String() + errOut.String()
+	}
+	if code, out := lintWith("_ = leak"); code != 0 {
+		t.Fatalf("clean module: exit %d\n%s", code, out)
+	}
+	code, out := lintWith("leak = make([]int, r.N)")
+	if code != 1 {
+		t.Fatalf("exit %d after injection, want 1:\n%s", code, out)
+	}
+	want := "internal/pool/pool.go:13:13: [escape] make([]int, r.N) escapes to heap in hotpath function Grow"
+	if !strings.Contains(out, want) {
+		t.Errorf("failure does not name the injected escape:\n%s", out)
 	}
 }
 

@@ -107,7 +107,10 @@ func (v *Var) Initialize() {
 // Key returns the profile key for the variable's current (context, choice).
 //
 //astra:hotpath
-func (v *Var) Key() profile.Key { return v.KeyFor(v.current) }
+func (v *Var) Key() profile.Key {
+	// lint:ok escape inlined KeyFor: key cache (re)build, once per context change
+	return v.KeyFor(v.current)
+}
 
 // KeyFor returns the profile key of choice c under the variable's current
 // context, from a per-context cache: the keys for all of a variable's
@@ -117,11 +120,13 @@ func (v *Var) Key() profile.Key { return v.KeyFor(v.current) }
 func (v *Var) KeyFor(c int) profile.Key {
 	if v.keyCtx != v.ctx || len(v.keys) != len(v.Labels) {
 		if cap(v.keys) < len(v.Labels) {
-			v.keys = make([]profile.Key, len(v.Labels)) // lint:ok hotpath cache (re)build, once per context change
+			// lint:ok escape key cache (re)build, once per context change
+			v.keys = make([]profile.Key, len(v.Labels))
 		} else {
 			v.keys = v.keys[:len(v.Labels)]
 		}
 		for i, l := range v.Labels {
+			// lint:ok escape key cache (re)build, once per context change
 			v.keys[i] = profile.K(v.ctx, v.ID, l)
 		}
 		v.keyCtx = v.ctx

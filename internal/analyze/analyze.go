@@ -32,21 +32,12 @@ import (
 	"astra/internal/parallel"
 )
 
-// Kernel classes and segment kinds. The classing itself lives in obs
-// (obs.KernelClass) so the simulator's fault injection and the what-if
-// engine's cost perturbations attribute to exactly the same classes the
-// blame reports use; the aliases keep this package's callers unchanged.
-const (
-	ClassGEMM      = obs.ClassGEMM
-	ClassEW        = obs.ClassEW
-	ClassCopy      = obs.ClassCopy
-	ClassAllReduce = obs.ClassAllReduce
-	ClassOther     = obs.ClassOther
-	// ClassDispatch labels critical-path time spent on the serial CPU
-	// dispatcher rather than any device kernel (analyzer-only: no kernel
-	// name maps to it).
-	ClassDispatch = "dispatch"
-)
+// ClassDispatch labels critical-path time spent on the serial CPU
+// dispatcher rather than any device kernel. Kernel time carries its
+// obs.KernelClass, the classing the simulator's fault injection and the
+// what-if engine's cost perturbations share, so all three attribute to the
+// same classes; no kernel name maps to ClassDispatch.
+const ClassDispatch = "dispatch"
 
 // Idle-gap taxonomy categories (see docs/OBSERVABILITY.md for the precise
 // definitions). Busy device time is categorized separately by kernel class.
@@ -93,10 +84,6 @@ func waitTagCategory(tag string) string {
 		return IdleSyncWait
 	}
 }
-
-// Class returns the kernel class of a recorded kernel name (an alias of
-// obs.KernelClass, kept for this package's callers).
-func Class(name string) string { return obs.KernelClass(name) }
 
 // Segment is one interval of a critical path or of a stream timeline.
 // Critical-path segments chain contiguously from 0 to the batch wall time;
@@ -274,7 +261,7 @@ func AnalyzeRun(events []obs.TrialEvent, workers int) (*Run, error) {
 // key's additions happen in the caller's (batch) order, and distinct keys
 // are independent.
 func addMap(dst, src map[string]float64) {
-	for k, v := range src { // nodeterm:ok per-key accumulation is order-independent across keys
+	for k, v := range src { // lint:ok map-range per-key accumulation is order-independent across keys
 		dst[k] += v
 	}
 }
@@ -283,7 +270,7 @@ func addMap(dst, src map[string]float64) {
 // every report emitter uses.
 func sortedKeys(m map[string]float64) []string {
 	out := make([]string, 0, len(m))
-	for k := range m { // nodeterm:ok keys are sorted before use
+	for k := range m { // lint:ok map-range keys are sorted before use
 		out = append(out, k)
 	}
 	sort.Strings(out)

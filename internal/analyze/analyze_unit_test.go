@@ -10,15 +10,15 @@ import (
 
 func TestClass(t *testing.T) {
 	cases := map[string]string{
-		"gemm_cublas_64x64x64": ClassGEMM,
-		"ew_sigmoid":           ClassEW,
-		"copy":                 ClassCopy,
-		"allreduce.b0.s3":      ClassAllReduce,
-		"mystery":              ClassOther,
+		"gemm_cublas_64x64x64": obs.ClassGEMM,
+		"ew_sigmoid":           obs.ClassEW,
+		"copy":                 obs.ClassCopy,
+		"allreduce.b0.s3":      obs.ClassAllReduce,
+		"mystery":              obs.ClassOther,
 	}
 	for name, want := range cases {
-		if got := Class(name); got != want {
-			t.Errorf("Class(%q) = %q, want %q", name, got, want)
+		if got := obs.KernelClass(name); got != want {
+			t.Errorf("obs.KernelClass(%q) = %q, want %q", name, got, want)
 		}
 	}
 }
@@ -64,7 +64,7 @@ func TestCriticalPathSynthetic(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := blame(path)
-	if b[ClassDispatch] != 20 || b[ClassCopy] != 95 || b[ClassEW] != 50 {
+	if b[ClassDispatch] != 20 || b[obs.ClassCopy] != 95 || b[obs.ClassEW] != 50 {
 		t.Fatalf("blame = %v", b)
 	}
 }
@@ -234,7 +234,7 @@ func TestDiffIdenticalRunsMarshals(t *testing.T) {
 	// Regression guard: diffing a run against itself must yield zero deltas
 	// with an empty TopClass and share 0 — never NaN, which would make
 	// astra-analyze -diff -json fail at json.Marshal.
-	a := runOf(100, map[string]float64{ClassGEMM: 60, ClassDispatch: 40})
+	a := runOf(100, map[string]float64{obs.ClassGEMM: 60, ClassDispatch: 40})
 	d := Diff(a, a)
 	if d.DeltaUs != 0 || d.AlignedDeltaUs != 0 || d.AlignedBatches != 1 {
 		t.Fatalf("self-diff = %+v", d)
@@ -250,8 +250,8 @@ func TestDiffIdenticalRunsMarshals(t *testing.T) {
 func TestDiffCancellingDeltasZeroShare(t *testing.T) {
 	// Per-class deltas that cancel exactly (gemm +10, ew −10) leave a zero
 	// aligned delta: dividing by it would be ±Inf. No net delta → no blame.
-	a := runOf(100, map[string]float64{ClassGEMM: 50, ClassEW: 50})
-	b := runOf(100, map[string]float64{ClassGEMM: 60, ClassEW: 40})
+	a := runOf(100, map[string]float64{obs.ClassGEMM: 50, obs.ClassEW: 50})
+	b := runOf(100, map[string]float64{obs.ClassGEMM: 60, obs.ClassEW: 40})
 	d := Diff(a, b)
 	if d.AlignedDeltaUs != 0 {
 		t.Fatalf("aligned delta = %v", d.AlignedDeltaUs)
@@ -259,7 +259,7 @@ func TestDiffCancellingDeltasZeroShare(t *testing.T) {
 	if d.TopClass != "" || d.TopClassShare != 0 {
 		t.Fatalf("cancelling blame = %q/%v, want \"\"/0", d.TopClass, d.TopClassShare)
 	}
-	if d.ByClass[ClassGEMM] != 10 || d.ByClass[ClassEW] != -10 {
+	if d.ByClass[obs.ClassGEMM] != 10 || d.ByClass[obs.ClassEW] != -10 {
 		t.Fatalf("by-class = %v", d.ByClass)
 	}
 	if _, err := json.Marshal(d); err != nil {
@@ -271,11 +271,11 @@ func TestDiffTopClassShareOfAbsoluteDelta(t *testing.T) {
 	// A speedup (negative delta) must report the share as a fraction of
 	// |AlignedDeltaUs|: gemm −30 of a −30 total is share −1 (sign carries
 	// the direction of the top class's own delta).
-	a := runOf(100, map[string]float64{ClassGEMM: 60, ClassEW: 40})
-	b := runOf(70, map[string]float64{ClassGEMM: 30, ClassEW: 40})
+	a := runOf(100, map[string]float64{obs.ClassGEMM: 60, obs.ClassEW: 40})
+	b := runOf(70, map[string]float64{obs.ClassGEMM: 30, obs.ClassEW: 40})
 	d := Diff(a, b)
-	if d.TopClass != ClassGEMM || d.TopClassShare != -1 {
-		t.Fatalf("speedup blame = %q/%v, want %q/-1", d.TopClass, d.TopClassShare, ClassGEMM)
+	if d.TopClass != obs.ClassGEMM || d.TopClassShare != -1 {
+		t.Fatalf("speedup blame = %q/%v, want %q/-1", d.TopClass, d.TopClassShare, obs.ClassGEMM)
 	}
 }
 
@@ -322,9 +322,9 @@ func TestDiffSurfacesTrialDeltas(t *testing.T) {
 	// `-diff cold.jsonl guided.jsonl` must surface the trial saving: the
 	// convergence deltas are B − A, negative when the guided run froze
 	// earlier.
-	a := runOf(100, map[string]float64{ClassGEMM: 100})
+	a := runOf(100, map[string]float64{obs.ClassGEMM: 100})
 	a.Converge = &ConvergeReport{Trials: 17, TrialsToFreeze: 17}
-	b := runOf(100, map[string]float64{ClassGEMM: 100})
+	b := runOf(100, map[string]float64{obs.ClassGEMM: 100})
 	b.Converge = &ConvergeReport{Trials: 11, TrialsToFreeze: 11}
 	d := Diff(a, b)
 	if d.TrialsA != 17 || d.TrialsB != 11 || d.TrialsDelta != -6 {

@@ -48,7 +48,7 @@ func CriticalPath(p *obs.BatchProfile) []Segment {
 		}
 		rev = append(rev, Segment{
 			StartUs: k.StartUs, EndUs: k.EndUs,
-			Kind: "busy", Class: Class(k.Name), Name: k.Name,
+			Kind: "busy", Class: obs.KernelClass(k.Name), Name: k.Name,
 			Stream: k.Stream, Worker: worker,
 		})
 		t = k.StartUs

@@ -101,10 +101,10 @@ func Diff(a, b *Run) *DiffReport {
 
 // subMap accumulates (b − a) per key into dst.
 func subMap(dst, b, a map[string]float64) {
-	for k, v := range b { // nodeterm:ok per-key accumulation is order-independent across keys
+	for k, v := range b { // lint:ok map-range per-key accumulation is order-independent across keys
 		dst[k] += v
 	}
-	for k, v := range a { // nodeterm:ok per-key accumulation is order-independent across keys
+	for k, v := range a { // lint:ok map-range per-key accumulation is order-independent across keys
 		dst[k] -= v
 	}
 }
@@ -119,7 +119,7 @@ func topClass(byClass map[string]float64, total float64) (string, float64) {
 		return "", 0
 	}
 	names := make([]string, 0, len(byClass))
-	for k := range byClass { // nodeterm:ok keys are sorted before use
+	for k := range byClass { // lint:ok map-range keys are sorted before use
 		names = append(names, k)
 	}
 	sort.Strings(names)

@@ -42,7 +42,7 @@ func Overlap(p *obs.BatchProfile) OverlapStats {
 	for i := range p.Kernels {
 		k := &p.Kernels[i]
 		iv := interval{k.StartUs, k.EndUs}
-		if Class(k.Name) == ClassAllReduce {
+		if obs.KernelClass(k.Name) == obs.ClassAllReduce {
 			comm = append(comm, iv)
 		} else {
 			compute = append(compute, iv)

@@ -365,8 +365,8 @@ func TestDiffAttributesThrottledClass(t *testing.T) {
 	if diff := sum - d.AlignedDeltaUs; diff > 1e-6 || diff < -1e-6 {
 		t.Fatalf("class deltas sum to %v, aligned delta %v", sum, d.AlignedDeltaUs)
 	}
-	if d.TopClass != analyze.ClassGEMM {
-		t.Fatalf("diff blamed %q, want %q (by_class=%v)", d.TopClass, analyze.ClassGEMM, d.ByClass)
+	if d.TopClass != obs.ClassGEMM {
+		t.Fatalf("diff blamed %q, want %q (by_class=%v)", d.TopClass, obs.ClassGEMM, d.ByClass)
 	}
 	if d.TopClassShare < 0.9 {
 		t.Fatalf("gemm share %.3f < 0.90 (by_class=%v)", d.TopClassShare, d.ByClass)

@@ -78,7 +78,7 @@ func StreamTimelines(p *obs.BatchProfile, horizonUs float64) []StreamTimeline {
 				}
 			}
 			add(Segment{StartUs: k.StartUs, EndUs: k.EndUs,
-				Kind: "busy", Class: Class(k.Name), Name: k.Name,
+				Kind: "busy", Class: obs.KernelClass(k.Name), Name: k.Name,
 				Stream: s, Worker: p.Worker})
 			cursor = k.EndUs
 		}

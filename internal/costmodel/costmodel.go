@@ -362,7 +362,7 @@ func (m *Model) Predict(meta Meta, varID, label string) (logUs float64, level in
 func (m *Model) Decay() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, b := range m.buckets { // nodeterm:ok per-bucket op, order-independent
+	for _, b := range m.buckets { // lint:ok map-range per-bucket op, order-independent
 		if b.n > 1 {
 			b.n /= 2
 		}

@@ -301,7 +301,8 @@ func (d *Device) newRecord() *KernelRecord {
 		*r = KernelRecord{}
 		return r
 	}
-	r := &KernelRecord{} // lint:ok hotpath pool growth, amortized to zero across Reset/reuse
+	// lint:ok escape pool growth, amortized to zero across Reset/reuse
+	r := &KernelRecord{}
 	d.recPool = append(d.recPool, r)
 	d.recUsed++
 	d.poolAlloc++
@@ -319,7 +320,8 @@ func (d *Device) newKernel() *kernel {
 		*k = kernel{}
 		return k
 	}
-	k := &kernel{} // lint:ok hotpath pool growth, amortized to zero across Reset/reuse
+	// lint:ok escape pool growth, amortized to zero across Reset/reuse
+	k := &kernel{}
 	d.kernPool = append(d.kernPool, k)
 	d.kernUsed++
 	d.poolAlloc++
@@ -337,7 +339,8 @@ func (d *Device) newEvent() *Event {
 		*e = Event{}
 		return e
 	}
-	e := &Event{} // lint:ok hotpath pool growth, amortized to zero across Reset/reuse
+	// lint:ok escape pool growth, amortized to zero across Reset/reuse
+	e := &Event{}
 	d.eventPool = append(d.eventPool, e)
 	d.eventUsed++
 	d.poolAlloc++
@@ -485,6 +488,7 @@ func (d *Device) Launch(streamID int, spec KernelSpec) *KernelRecord {
 			jitter *= f
 		}
 	}
+	// lint:ok escape inlined newRecord: pool growth, amortized to zero across Reset/reuse
 	rec := d.newRecord()
 	rec.Name = spec.Name
 	rec.Stream = streamID
@@ -492,6 +496,7 @@ func (d *Device) Launch(streamID int, spec KernelSpec) *KernelRecord {
 	rec.Tiles = spec.Tiles
 	rec.TileTimeUs = spec.TileTimeUs * jitter
 	d.records = append(d.records, rec)
+	// lint:ok escape inlined newKernel: pool growth, amortized to zero across Reset/reuse
 	k := d.newKernel()
 	k.rec = rec
 	k.setupUs = setup
@@ -512,6 +517,7 @@ func (d *Device) RecordEvent(streamID int) *Event {
 	s := d.stream(streamID)
 	d.cpuUs += 0.2
 	d.eventSeq++
+	// lint:ok escape inlined newEvent: pool growth, amortized to zero across Reset/reuse
 	e := d.newEvent()
 	e.id = d.eventSeq
 	e.stream = streamID

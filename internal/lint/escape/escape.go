@@ -1,110 +1,127 @@
-// Package escape is the compiler-backed half of the hot-path allocation
-// guard. The static hotpath rule (internal/lint/hotpath) flags
-// allocation-inducing syntax; this package asks the one authority that
-// actually decides whether an &T{} lands on the heap — the gc compiler's
-// escape analysis — and turns its answer into a regression baseline.
+// Package escape is the hot-path allocation rule. A function opts in with
+// the marker comment
 //
-// The pipeline:
+//	//astra:hotpath
 //
-//  1. Functions() parses the module (syntax only, no type check) and
-//     collects the line spans of every //astra:hotpath annotated function.
-//  2. BuildDiagnostics() runs `go build -gcflags=-m ./...` and captures the
-//     compiler's escape notes. The diagnostics replay from the build cache,
-//     so repeat runs cost a cache probe, not a rebuild.
-//  3. Report() keeps the "escapes to heap" / "moved to heap" notes that
-//     land inside an annotated span and normalizes each to one line keyed
-//     by file and function name — not line number, so the baseline
-//     survives edits that merely shift code.
-//  4. Diff() compares the report against the committed baseline
-//     (.github/escape-baseline.txt). New lines are regressions and fail
-//     the build; vanished lines are improvements and only prompt a
-//     baseline refresh.
+// in its doc comment. For every package holding such a function the rule
+// asks the one authority that decides whether an &T{} lands on the heap —
+// the gc compiler's escape analysis — by running
 //
-// cmd/astra-escape drives the pipeline; `make escape-check` gates CI on it
-// and `make escape-baseline` rewrites the baseline after a deliberate
-// change.
+//	go build -gcflags=-m .
+//
+// in the package directory, and reports each "escapes to heap" or "moved
+// to heap" note that lands inside an annotated function. The compiler
+// replays the notes from the build cache, so a repeat run costs a cache
+// probe, not a rebuild.
+//
+// Notes inside a panic(...) argument are exempt: a panicking hot path is
+// already cold. Everything else is fix-or-justify: an intentional
+// allocation (pool growth, a per-context cache rebuild, a trace-detail
+// path) carries a `lint:ok escape <reason>` marker on its line or the line
+// above.
+//
+// The compiler sees every heap allocation it places, but not the ones the
+// runtime makes on the fly: append growth past a slice's capacity and
+// string concatenation into an escaping result. The exact AllocsPerRun
+// budgets in alloc_budget_test.go cover those; docs/PERFORMANCE.md lists
+// which budget row runs each annotated function.
 package escape
 
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
 	"astra/internal/lint"
-	"astra/internal/lint/hotpath"
 )
 
-// Span is one annotated function: its file (root-relative, slash
-// separated), its display name, and the inclusive line range of the
-// declaration.
-type Span struct {
-	File      string
-	Name      string
-	StartLine int
-	EndLine   int
+// Annotation is the marker that opts a function into the rule.
+const Annotation = "astra:hotpath"
+
+func init() { lint.Register(rule{}) }
+
+type rule struct{}
+
+func (rule) Name() string { return "escape" }
+func (rule) Doc() string {
+	return "heap allocations the compiler's escape analysis (-gcflags=-m) places in //astra:hotpath functions"
 }
 
-// Functions collects the spans of every //astra:hotpath function under the
-// given subtrees of root (PackageDirs semantics; "." covers root itself).
-// Syntax-only parsing: the escape tool must not double-pay the type-check
-// the compiler is about to do anyway.
-func Functions(root string, subtrees ...string) ([]Span, error) {
-	dirs, err := lint.PackageDirs(root, subtrees...)
-	if err != nil {
-		return nil, err
+// Applies is unconditional: the rule fires only inside annotated functions,
+// so it is free to run over every package.
+func (rule) Applies(rel string) bool { return true }
+
+// Annotated reports whether a function declaration carries the hotpath
+// marker. The match is exact — a directive comment line reading
+// //astra:hotpath and nothing else — so prose that merely mentions the
+// marker (like this sentence) does not annotate its function.
+func Annotated(fd *ast.FuncDecl) bool {
+	if fd.Doc == nil {
+		return false
 	}
-	fset := token.NewFileSet()
-	var spans []Span
-	for _, rel := range dirs {
-		dir := filepath.Join(root, filepath.FromSlash(rel))
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			return nil, err
+	for _, c := range fd.Doc.List {
+		if strings.TrimSpace(c.Text) == "//"+Annotation {
+			return true
 		}
-		for _, e := range ents {
-			n := e.Name()
-			if e.IsDir() || !strings.HasSuffix(n, ".go") ||
-				strings.HasSuffix(n, "_test.go") || strings.HasPrefix(n, ".") {
+	}
+	return false
+}
+
+// span is a source range [from, to), by line and column.
+type span struct{ from, to token.Position }
+
+func (s span) contains(line, col int) bool {
+	if line < s.from.Line || line == s.from.Line && col < s.from.Column {
+		return false
+	}
+	return line < s.to.Line || line == s.to.Line && col < s.to.Column
+}
+
+// hotFunc is one annotated function: its file, its extent and the extents
+// of its panic arguments.
+type hotFunc struct {
+	name   string
+	file   string
+	body   span
+	panics []span
+}
+
+// annotatedFuncs collects the package's annotated functions.
+func annotatedFuncs(p *lint.Package) []hotFunc {
+	var out []hotFunc
+	for _, f := range p.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || !Annotated(fd) {
 				continue
 			}
-			f, err := parser.ParseFile(fset, filepath.Join(dir, n), nil, parser.ParseComments)
-			if err != nil {
-				return nil, fmt.Errorf("escape: parse %s/%s: %w", rel, n, err)
-			}
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || !hotpath.Annotated(fd) {
-					continue
+			body := spanOf(p, fd)
+			h := hotFunc{name: funcName(fd), file: body.from.Filename, body: body}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
 				}
-				start := fset.Position(fd.Pos())
-				end := fset.Position(fd.End())
-				file, err := filepath.Rel(root, start.Filename)
-				if err != nil {
-					file = start.Filename
+				if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
+					for _, arg := range call.Args {
+						h.panics = append(h.panics, spanOf(p, arg))
+					}
 				}
-				spans = append(spans, Span{
-					File:      filepath.ToSlash(file),
-					Name:      funcName(fd),
-					StartLine: start.Line,
-					EndLine:   end.Line,
-				})
-			}
+				return true
+			})
+			out = append(out, h)
 		}
 	}
-	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].File != spans[j].File {
-			return spans[i].File < spans[j].File
-		}
-		return spans[i].StartLine < spans[j].StartLine
-	})
-	return spans, nil
+	return out
+}
+
+func spanOf(p *lint.Package, n ast.Node) span {
+	return span{p.Position(n.Pos()), p.Position(n.End())}
 }
 
 // funcName renders a declaration name the way readers write it:
@@ -113,10 +130,9 @@ func funcName(fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
 		return fd.Name.Name
 	}
-	recv := fd.Recv.List[0].Type
 	var b strings.Builder
 	b.WriteString("(")
-	writeType(&b, recv)
+	writeType(&b, fd.Recv.List[0].Type)
 	b.WriteString(").")
 	b.WriteString(fd.Name.Name)
 	return b.String()
@@ -136,30 +152,82 @@ func writeType(b *strings.Builder, e ast.Expr) {
 	}
 }
 
+func (rule) Check(p *lint.Package) []lint.Finding {
+	hot := annotatedFuncs(p)
+	if len(hot) == 0 {
+		return nil
+	}
+	out, err := BuildDiagnostics(p.Dir)
+	if err != nil {
+		// The rule must not pass silently on a package it could not ask.
+		return []lint.Finding{lint.NewFinding(hot[0].body.from, "escape", err.Error())}
+	}
+	var findings []lint.Finding
+	for _, d := range ParseDiagnostics(out) {
+		for _, h := range hot {
+			if !sameTail(h.file, d.File) || !h.body.contains(d.Line, d.Col) || inPanic(h, d) {
+				continue
+			}
+			findings = append(findings, lint.Finding{File: h.file, Line: d.Line, Col: d.Col,
+				Rule: "escape", Message: d.Msg + " in hotpath function " + h.name})
+			break
+		}
+	}
+	return findings
+}
+
+func inPanic(h hotFunc, d Diag) bool {
+	for _, s := range h.panics {
+		if s.contains(d.Line, d.Col) {
+			return true
+		}
+	}
+	return false
+}
+
+// sameTail reports whether a compiler-printed path names file. The go
+// command prints paths relative to the directory of whichever build first
+// compiled the package (the build cache replays that text verbatim), so
+// the printed path is matched as a suffix after dropping its leading "./"
+// and "../" steps.
+func sameTail(file, printed string) bool {
+	printed = filepath.ToSlash(filepath.Clean(printed))
+	if filepath.IsAbs(printed) {
+		return filepath.ToSlash(file) == printed
+	}
+	for strings.HasPrefix(printed, "../") {
+		printed = printed[len("../"):]
+	}
+	f := filepath.ToSlash(file)
+	return f == printed || strings.HasSuffix(f, "/"+printed)
+}
+
 // Diag is one compiler escape note.
 type Diag struct {
-	File string // as printed by the compiler (cwd-relative, slash separated)
+	File string // as printed by the compiler, slash separated
 	Line int
+	Col  int
 	Msg  string
 }
 
-// BuildDiagnostics compiles the module with -gcflags=-m and returns the raw
-// compiler output. The diagnostics land on stderr; a build failure is an
-// error (the linter must not silently pass on code that does not compile).
-func BuildDiagnostics(root string) (string, error) {
-	cmd := exec.Command("go", "build", "-gcflags=-m", "./...")
-	cmd.Dir = root
+// BuildDiagnostics compiles the package in dir with -gcflags=-m and
+// returns the compiler's output. Nothing is written: the compiled result
+// goes to the null device. A build failure is an error.
+func BuildDiagnostics(dir string) (string, error) {
+	cmd := exec.Command("go", "build", "-gcflags=-m", "-o", os.DevNull, ".")
+	cmd.Dir = dir
 	out, err := cmd.CombinedOutput()
 	if err != nil {
-		return "", fmt.Errorf("escape: go build -gcflags=-m failed: %v\n%s", err, out)
+		msg := strings.Join(strings.Fields(string(out)), " ")
+		return "", fmt.Errorf("go build -gcflags=-m failed: %v: %s", err, msg)
 	}
 	return string(out), nil
 }
 
 // ParseDiagnostics extracts the heap-allocation notes — "escapes to heap"
 // and "moved to heap" — from compiler -m output. Inlining chatter and
-// parameter-leak notes are dropped: the baseline tracks allocations, not
-// every analysis fact.
+// parameter-leak notes are dropped: the rule tracks allocations, not every
+// analysis fact.
 func ParseDiagnostics(out string) []Diag {
 	var diags []Diag
 	for _, line := range strings.Split(out, "\n") {
@@ -175,76 +243,16 @@ func ParseDiagnostics(out string) []Diag {
 		if err != nil {
 			continue
 		}
+		col, err := strconv.Atoi(parts[2])
+		if err != nil {
+			continue
+		}
 		diags = append(diags, Diag{
 			File: filepath.ToSlash(parts[0]),
 			Line: ln,
+			Col:  col,
 			Msg:  strings.TrimSpace(parts[3]),
 		})
 	}
 	return diags
-}
-
-// Report intersects diagnostics with annotated spans and normalizes each
-// hit to "file:function: message". Line numbers are deliberately absent —
-// unrelated edits above a function must not churn the baseline — and the
-// result is deduplicated (one allocation site can emit several identical
-// notes across build configurations) and sorted.
-func Report(diags []Diag, spans []Span) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, d := range diags {
-		for _, s := range spans {
-			if d.File != s.File || d.Line < s.StartLine || d.Line > s.EndLine {
-				continue
-			}
-			line := fmt.Sprintf("%s:%s: %s", s.File, s.Name, d.Msg)
-			if !seen[line] {
-				seen[line] = true
-				out = append(out, line)
-			}
-			break
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Diff compares a report against the committed baseline. added lines are
-// regressions (new escapes in annotated functions); removed lines are
-// improvements the baseline no longer needs to carry.
-func Diff(baseline, current []string) (added, removed []string) {
-	base := map[string]bool{}
-	for _, l := range baseline {
-		base[l] = true
-	}
-	cur := map[string]bool{}
-	for _, l := range current {
-		cur[l] = true
-		if !base[l] {
-			added = append(added, l)
-		}
-	}
-	for _, l := range baseline {
-		if !cur[l] {
-			removed = append(removed, l)
-		}
-	}
-	sort.Strings(added)
-	sort.Strings(removed)
-	return added, removed
-}
-
-// ParseBaseline reads baseline file content: one normalized line per line,
-// "#" comments and blanks ignored.
-func ParseBaseline(content string) []string {
-	var out []string
-	for _, line := range strings.Split(content, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		out = append(out, line)
-	}
-	sort.Strings(out)
-	return out
 }

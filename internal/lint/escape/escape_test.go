@@ -1,104 +1,102 @@
 package escape
 
 import (
-	"os"
-	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+
+	"astra/internal/lint"
+	"astra/internal/lint/linttest"
 )
+
+func rules(t *testing.T) []lint.Rule {
+	t.Helper()
+	rs, err := lint.ByNames([]string{"escape"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
+// notes renders findings as "line: message" for compact assertions.
+func notes(fs []lint.Finding) []string {
+	out := []string{}
+	for _, f := range fs {
+		out = append(out, strings.TrimSpace(strings.SplitN(f.String(), ":", 2)[1]))
+	}
+	return out
+}
+
+func wantNotes(t *testing.T, fs []lint.Finding, want ...string) {
+	t.Helper()
+	got := notes(fs)
+	if len(got) != len(want) {
+		t.Fatalf("got %d findings, want %d:\n%s", len(got), len(want), strings.Join(got, "\n"))
+	}
+	for i := range want {
+		if !strings.Contains(got[i], want[i]) {
+			t.Errorf("finding %d = %q, want it to contain %q", i, got[i], want[i])
+		}
+	}
+}
 
 func TestParseDiagnostics(t *testing.T) {
 	out := `# astra/internal/gpusim
 internal/gpusim/gpusim.go:301:7: &KernelRecord{} escapes to heap
 internal/gpusim/gpusim.go:290:6: can inline (*Device).newRecord with cost 42
-internal/wire/runner.go:500:20: moved to heap: t0
+./runner.go:500:20: moved to heap: t0
 internal/wire/runner.go:501:9: func literal escapes to heap
 not-a-diagnostic line
 internal/wire/runner.go:bad:9: x escapes to heap
+internal/wire/runner.go:7:bad: x escapes to heap
 `
 	got := ParseDiagnostics(out)
 	want := []Diag{
-		{File: "internal/gpusim/gpusim.go", Line: 301, Msg: "&KernelRecord{} escapes to heap"},
-		{File: "internal/wire/runner.go", Line: 500, Msg: "moved to heap: t0"},
-		{File: "internal/wire/runner.go", Line: 501, Msg: "func literal escapes to heap"},
+		{File: "internal/gpusim/gpusim.go", Line: 301, Col: 7, Msg: "&KernelRecord{} escapes to heap"},
+		{File: "./runner.go", Line: 500, Col: 20, Msg: "moved to heap: t0"},
+		{File: "internal/wire/runner.go", Line: 501, Col: 9, Msg: "func literal escapes to heap"},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v\nwant %v", got, want)
 	}
 }
 
-func TestReportIntersectsSpansAndNormalizes(t *testing.T) {
-	spans := []Span{
-		{File: "a.go", Name: "(*T).Hot", StartLine: 10, EndLine: 20},
-		{File: "b.go", Name: "Free", StartLine: 1, EndLine: 5},
-	}
-	diags := []Diag{
-		{File: "a.go", Line: 15, Msg: "x escapes to heap"},
-		{File: "a.go", Line: 15, Msg: "x escapes to heap"}, // duplicate collapses
-		{File: "a.go", Line: 25, Msg: "y escapes to heap"}, // outside every span
-		{File: "b.go", Line: 3, Msg: "z escapes to heap"},
-		{File: "c.go", Line: 3, Msg: "w escapes to heap"}, // unannotated file
-	}
-	got := Report(diags, spans)
-	want := []string{
-		"a.go:(*T).Hot: x escapes to heap",
-		"b.go:Free: z escapes to heap",
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v\nwant %v", got, want)
+func TestSameTail(t *testing.T) {
+	file := "/src/mod/internal/wire/runner.go"
+	for printed, want := range map[string]bool{
+		"./runner.go":                      true,
+		"runner.go":                        true,
+		"internal/wire/runner.go":          true,
+		"../wire/runner.go":                true,
+		"/src/mod/internal/wire/runner.go": true,
+		"/elsewhere/wire/runner.go":        false,
+		"internal/verify/runner.go":        false,
+		"xrunner.go":                       false,
+	} {
+		if got := sameTail(file, printed); got != want {
+			t.Errorf("sameTail(%q) = %v, want %v", printed, got, want)
+		}
 	}
 }
 
-// TestReportCatchesInjectedEscape is the guard's core promise as a unit
-// test: an allocation note that appears inside an annotated function and is
-// absent from the baseline must surface as a regression.
-func TestReportCatchesInjectedEscape(t *testing.T) {
-	spans := []Span{{File: "hot.go", Name: "Hot", StartLine: 5, EndLine: 30}}
-	baseline := Report([]Diag{
-		{File: "hot.go", Line: 10, Msg: "&rec{} escapes to heap"},
-	}, spans)
-	injected := Report([]Diag{
-		{File: "hot.go", Line: 10, Msg: "&rec{} escapes to heap"},
-		{File: "hot.go", Line: 22, Msg: "make([]int, n) escapes to heap"},
-	}, spans)
-	added, removed := Diff(baseline, injected)
-	if len(added) != 1 || added[0] != "hot.go:Hot: make([]int, n) escapes to heap" {
-		t.Fatalf("added = %v", added)
+func TestDocAndScope(t *testing.T) {
+	r := rules(t)[0]
+	if r.Doc() == "" {
+		t.Error("empty Doc")
 	}
-	if len(removed) != 0 {
-		t.Fatalf("removed = %v", removed)
+	// Annotation-driven: the rule applies everywhere and gates on the
+	// //astra:hotpath directive instead of a package scope.
+	for _, rel := range []string{"internal/gpusim", "cmd/astra-bench", "pkg"} {
+		if !r.Applies(rel) {
+			t.Errorf("Applies(%q) = false", rel)
+		}
 	}
 }
 
-func TestDiffDirections(t *testing.T) {
-	added, removed := Diff(
-		[]string{"a", "b", "c"},
-		[]string{"b", "c", "d"},
-	)
-	if !reflect.DeepEqual(added, []string{"d"}) || !reflect.DeepEqual(removed, []string{"a"}) {
-		t.Fatalf("added=%v removed=%v", added, removed)
-	}
-	added, removed = Diff(nil, nil)
-	if len(added) != 0 || len(removed) != 0 {
-		t.Fatalf("empty diff: added=%v removed=%v", added, removed)
-	}
-}
-
-func TestParseBaseline(t *testing.T) {
-	got := ParseBaseline("# comment\n\nb.go:F: x escapes to heap\na.go:G: y escapes to heap\n")
-	want := []string{"a.go:G: y escapes to heap", "b.go:F: x escapes to heap"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-}
-
+// TestFunctionsFindsAnnotatedSpans checks the rule's scope: annotated
+// functions and methods, their extents, and their panic arguments.
 func TestFunctionsFindsAnnotatedSpans(t *testing.T) {
-	root := t.TempDir()
-	dir := filepath.Join(root, "pkg")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	src := `package pkg
+	p := linttest.Load(t, `package pkg
 
 type T struct{}
 
@@ -108,64 +106,241 @@ func Plain() {}
 // Method is annotated too.
 //
 //astra:hotpath
-func (t *T) Method() int {
+func (t *T) Method(n int) int {
+	if n < 0 {
+		panic("negative")
+	}
 	return 0
 }
 
 // Cold mentions //astra:hotpath in prose only.
 func Cold() {}
-`
-	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
+`)
+	hot := annotatedFuncs(p)
+	if len(hot) != 2 || hot[0].name != "Plain" || hot[1].name != "(*T).Method" {
+		t.Fatalf("annotated functions: %+v", hot)
 	}
-	spans, err := Functions(root, "pkg")
-	if err != nil {
-		t.Fatal(err)
+	m := hot[1]
+	if m.body.from.Line != 11 || m.body.to.Line != 16 {
+		t.Errorf("Method extent: lines %d-%d, want 11-16", m.body.from.Line, m.body.to.Line)
 	}
-	if len(spans) != 2 {
-		t.Fatalf("spans: %+v", spans)
-	}
-	if spans[0].Name != "Plain" || spans[0].File != "pkg/p.go" {
-		t.Errorf("span 0: %+v", spans[0])
-	}
-	if spans[1].Name != "(*T).Method" {
-		t.Errorf("span 1: %+v", spans[1])
-	}
-	if spans[1].StartLine >= spans[1].EndLine {
-		t.Errorf("span 1 range: %+v", spans[1])
+	if len(m.panics) != 1 || m.panics[0].from.Line != 13 || m.panics[0].from.Column != 9 {
+		t.Errorf("Method panic arguments: %+v", m.panics)
 	}
 }
 
-// TestRepoBaselineIsCurrent recomputes the real repository's escape report
-// and diffs it against the committed baseline — the same check `make
-// escape-check` runs in CI, here so `go test ./...` catches a stale
-// baseline (or a new escape) without a separate make invocation.
-func TestRepoBaselineIsCurrent(t *testing.T) {
-	if testing.Short() {
-		t.Skip("compiles the whole module; skipped in -short")
+// TestReportIntersectsSpansAndNormalizes: a note reaches the report only
+// from inside an annotated function, and names that function.
+func TestReportIntersectsSpansAndNormalizes(t *testing.T) {
+	fs := linttest.Check(t, rules(t), `package pkg
+
+type rec struct{ n int }
+
+var sink *rec
+
+//astra:hotpath
+func (r *rec) Hot() {
+	sink = &rec{n: r.n}
+}
+
+func Cold() {
+	sink = &rec{}
+}
+`)
+	wantNotes(t, fs, "9:9: [escape] &rec{...} escapes to heap in hotpath function (*rec).Hot")
+}
+
+func TestUnannotatedStaysSilent(t *testing.T) {
+	fs := linttest.Check(t, rules(t), `package pkg
+import "fmt"
+func Cold(n int) string { return fmt.Sprintf("%d", n) }
+`)
+	if len(fs) != 0 {
+		t.Fatalf("unannotated function flagged: %v", fs)
 	}
-	root := "../../.."
-	spans, err := Functions(root, ".", "internal", "cmd")
-	if err != nil {
-		t.Fatal(err)
+}
+
+func TestProseMentionDoesNotAnnotate(t *testing.T) {
+	fs := linttest.Check(t, rules(t), `package pkg
+import "fmt"
+// Cold documents the //astra:hotpath marker without carrying it.
+func Cold(n int) string { return fmt.Sprintf("%d", n) }
+`)
+	if len(fs) != 0 {
+		t.Fatalf("prose mention treated as annotation: %v", fs)
 	}
-	if len(spans) == 0 {
-		t.Fatal("no //astra:hotpath functions found — annotations lost?")
+}
+
+func TestFmtAndStringOps(t *testing.T) {
+	fs := linttest.Check(t, rules(t), `package pkg
+import "fmt"
+
+var sink string
+
+//astra:hotpath
+func Hot(a, b string, n int) string {
+	s := fmt.Sprintf("%d", n)
+	sink = a + b
+	return s
+}
+`)
+	wantNotes(t, fs,
+		"8:25: [escape] n escapes to heap",
+		"9:11: [escape] a + b escapes to heap")
+}
+
+func TestConstantConcatIsFree(t *testing.T) {
+	fs := linttest.Check(t, rules(t), `package pkg
+
+var sink string
+
+//astra:hotpath
+func Hot() string {
+	const pre = "a"
+	sink = pre + "b" // constant-folded, no allocation
+	return sink
+}
+`)
+	if len(fs) != 0 {
+		t.Fatalf("constant concat flagged: %v", fs)
 	}
-	out, err := BuildDiagnostics(root)
-	if err != nil {
-		t.Fatal(err)
+}
+
+func TestCompositesAndMake(t *testing.T) {
+	fs := linttest.Check(t, rules(t), `package pkg
+
+type rec struct{ a, b int }
+
+var (
+	ints []int
+	recs []*rec
+)
+
+//astra:hotpath
+func Hot(n int) int {
+	ints = []int{1, 2}
+	ints = make([]int, n)
+	recs = append(recs, &rec{a: 1}, new(rec))
+	fixed := make([]int, 4) // constant size, does not escape: stack
+	v := rec{a: 2}          // value struct literal: stack
+	return fixed[0] + v.a
+}
+`)
+	wantNotes(t, fs,
+		"12:14: [escape] []int{...} escapes to heap",
+		"13:13: [escape] make([]int, n) escapes to heap",
+		"14:22: [escape] &rec{...} escapes to heap",
+		"14:37: [escape] new(rec) escapes to heap")
+}
+
+func TestClosures(t *testing.T) {
+	fs := linttest.Check(t, rules(t), `package pkg
+import "slices"
+
+var sink func() int
+
+//astra:hotpath
+func Hot(xs []int, n int) {
+	slices.SortFunc(xs, func(a, b int) int { return a - b }) // non-capturing: free
+	sink = func() int { return n }                           // captures n and escapes
+}
+`)
+	wantNotes(t, fs, "9:9: [escape] func literal escapes to heap")
+}
+
+func TestInterfaceBoxing(t *testing.T) {
+	fs := linttest.Check(t, rules(t), `package pkg
+
+var sunk []any
+
+func sink(v any) { sunk = append(sunk, v) }
+
+type big struct{ a, b int }
+
+//astra:hotpath
+func Hot(b big, p *big, n int) {
+	sink(n) // boxes int
+	sink(p) // pointer-shaped: free
+	sink(b) // boxes big
+}
+`)
+	wantNotes(t, fs,
+		"11:7: [escape] n escapes to heap",
+		"13:7: [escape] b escapes to heap")
+}
+
+func TestPanicPathIsCold(t *testing.T) {
+	fs := linttest.Check(t, rules(t), `package pkg
+import "fmt"
+
+//astra:hotpath
+func Hot(n int) int {
+	if n < 0 {
+		panic(fmt.Sprintf("bad n %d", n))
 	}
-	report := Report(ParseDiagnostics(out), spans)
-	raw, err := os.ReadFile(filepath.Join(root, ".github", "escape-baseline.txt"))
-	if err != nil {
-		t.Fatal(err)
+	if n > 1<<20 {
+		panic("n too large")
 	}
-	added, removed := Diff(ParseBaseline(string(raw)), report)
-	if len(added) > 0 {
-		t.Errorf("new escapes in hotpath functions: %v", added)
+	return n
+}
+`)
+	if len(fs) != 0 {
+		t.Fatalf("panic argument flagged: %v", fs)
 	}
-	if len(removed) > 0 {
-		t.Errorf("stale baseline lines (refresh with make escape-baseline): %v", removed)
+}
+
+// TestSuppression: a reasoned marker silences the note; a reason-less one
+// silences nothing and is itself reported.
+func TestSuppression(t *testing.T) {
+	src := `package pkg
+
+type rec struct{ n int }
+
+//astra:hotpath
+func Hot(pool []*rec) *rec {
+	if len(pool) > 0 {
+		return pool[0]
 	}
+	// lint:ok escape MARKER
+	return &rec{}
+}
+`
+	fs := linttest.Check(t, rules(t), strings.Replace(src, "MARKER", "pool growth, amortized across reuse", 1))
+	if len(fs) != 0 {
+		t.Fatalf("suppressed fixture still has findings: %v", fs)
+	}
+	fs = linttest.Check(t, rules(t), strings.Replace(src, " MARKER", "", 1))
+	wantNotes(t, fs,
+		"10:2: [suppression] lint:ok marker must name a rule and carry a written reason",
+		"11:9: [escape] &rec{} escapes to heap")
+}
+
+// TestReportCatchesInjectedEscape is the rule's core promise: an
+// allocation added to a clean annotated function surfaces as a finding.
+func TestReportCatchesInjectedEscape(t *testing.T) {
+	src := `package pkg
+
+var leak []int
+
+//astra:hotpath
+func Hot(xs []int, n int) int {
+	INJECT
+	return xs[n]
+}
+`
+	if fs := linttest.Check(t, rules(t), strings.Replace(src, "INJECT", "_ = n", 1)); len(fs) != 0 {
+		t.Fatalf("clean fixture flagged: %v", fs)
+	}
+	fs := linttest.Check(t, rules(t), strings.Replace(src, "INJECT", "leak = make([]int, n)", 1))
+	wantNotes(t, fs, "7:13: [escape] make([]int, n) escapes to heap in hotpath function Hot")
+}
+
+// TestBuildFailureIsAFinding: a package the compiler rejects cannot pass.
+func TestBuildFailureIsAFinding(t *testing.T) {
+	fs := linttest.Check(t, rules(t), `package pkg
+
+//astra:hotpath
+func Hot() int { return undefined }
+`)
+	wantNotes(t, fs, "4:1: [escape] go build -gcflags=-m failed")
 }

@@ -20,9 +20,7 @@
 //	for k, v := range bindings { // lint:ok map-range order-independent copy
 //
 // A marker with no reason text is itself reported (rule "suppression"):
-// justify-suppress is the contract, silence is not. The historical marker
-// "nodeterm:ok <reason>" is kept as an alias covering the determinism rule
-// family, so the existing suppressions in the tree keep working.
+// justify-suppress is the contract, silence is not.
 package lint
 
 import (
@@ -52,7 +50,7 @@ func NewFinding(pos token.Position, rule, message string) Finding {
 	return Finding{File: pos.Filename, Line: pos.Line, Col: pos.Column, Rule: rule, Message: message}
 }
 
-// SortFindings orders findings by file, line, column, then rule — the
+// SortFindings orders findings by file, line, column, rule, then message — the
 // canonical order every output mode uses, so parallel and serial runs render
 // byte-identically.
 func SortFindings(fs []Finding) {
@@ -67,7 +65,10 @@ func SortFindings(fs []Finding) {
 		if a.Col != b.Col {
 			return a.Col < b.Col
 		}
-		return a.Rule < b.Rule
+		if a.Rule != b.Rule {
+			return a.Rule < b.Rule
+		}
+		return a.Message < b.Message
 	})
 }
 
@@ -146,26 +147,12 @@ func InScope(rel string, scope []string) bool {
 
 // ---- suppression markers ----
 
-// Marker is the current suppression spelling; LegacyMarker the historical
-// nodeterm one, kept so the tree's existing justified suppressions survive
-// the framework migration.
-const (
-	Marker       = "lint:ok"
-	LegacyMarker = "nodeterm:ok"
-)
-
-// LegacyRules is the determinism family the nodeterm:ok alias covers.
-var LegacyRules = map[string]bool{
-	"time-now":    true,
-	"global-rand": true,
-	"map-range":   true,
-	"wall-clock":  true,
-	"env-read":    true,
-}
+// Marker is the suppression spelling: lint:ok <rule> <reason>.
+const Marker = "lint:ok"
 
 // suppression is one parsed marker comment.
 type suppression struct {
-	rule      string // "" means the legacy whole-family marker
+	rule      string
 	hasReason bool
 	pos       token.Position
 }
@@ -178,18 +165,14 @@ func suppressionsOf(fset *token.FileSet, f *ast.File) map[int][]suppression {
 	for _, cg := range f.Comments {
 		for _, cmt := range cg.List {
 			text := cmt.Text
-			var sup suppression
-			if i := strings.Index(text, LegacyMarker); i >= 0 {
-				rest := strings.Fields(text[i+len(LegacyMarker):])
-				sup = suppression{rule: "", hasReason: len(rest) >= 1}
-			} else if i := strings.Index(text, Marker); i >= 0 {
-				rest := strings.Fields(text[i+len(Marker):])
-				sup = suppression{hasReason: len(rest) >= 2}
-				if len(rest) >= 1 {
-					sup.rule = rest[0]
-				}
-			} else {
+			i := strings.Index(text, Marker)
+			if i < 0 {
 				continue
+			}
+			rest := strings.Fields(text[i+len(Marker):])
+			sup := suppression{hasReason: len(rest) >= 2}
+			if len(rest) >= 1 {
+				sup.rule = rest[0]
 			}
 			sup.pos = fset.Position(cmt.Pos())
 			line := sup.pos.Line
@@ -200,27 +183,17 @@ func suppressionsOf(fset *token.FileSet, f *ast.File) map[int][]suppression {
 	return out
 }
 
-// knownRule reports whether a name denotes a registered rule (or a
-// determinism-family name, which is registered whenever the nodeterm
-// package is linked in).
+// knownRule reports whether a name denotes a registered rule.
 func knownRule(name string) bool {
-	if _, ok := registry[name]; ok {
-		return true
-	}
-	return LegacyRules[name]
+	_, ok := registry[name]
+	return ok
 }
 
 // covers reports whether the marker suppresses findings of the given rule.
 // A marker without a written reason covers nothing: the justification is
 // the price of the suppression.
 func (s suppression) covers(rule string) bool {
-	if !s.hasReason {
-		return false
-	}
-	if s.rule == "" {
-		return LegacyRules[rule]
-	}
-	return s.rule == rule
+	return s.hasReason && s.rule == rule
 }
 
 // Run executes every applicable rule on the package, filters suppressed
@@ -253,11 +226,7 @@ func Run(p *Package, rules []Rule, rel string, force bool) []Finding {
 				}
 				seen[pos] = true
 				text := cmt.Text
-				if i := strings.Index(text, LegacyMarker); i >= 0 {
-					if len(strings.Fields(text[i+len(LegacyMarker):])) == 0 {
-						out = append(out, NewFinding(pos, "suppression", "nodeterm:ok marker without a written reason"))
-					}
-				} else if i := strings.Index(text, Marker); i >= 0 {
+				if i := strings.Index(text, Marker); i >= 0 {
 					// Only a marker that names a real rule is held to the
 					// reason requirement: prose that mentions the spelling
 					// ("… lint:ok markers …") is not a suppression — and a

@@ -22,6 +22,13 @@ import (
 // canonical order.
 func Check(t *testing.T, rules []lint.Rule, src string) []lint.Finding {
 	t.Helper()
+	return lint.Run(Load(t, src), rules, "pkg", true)
+}
+
+// Load writes src as package fix/pkg into a fresh temp module and returns
+// it loaded and type-checked.
+func Load(t *testing.T, src string) *lint.Package {
+	t.Helper()
 	root := t.TempDir()
 	if err := os.WriteFile(filepath.Join(root, "go.mod"), []byte("module fix\n\ngo 1.22\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -38,7 +45,7 @@ func Check(t *testing.T, rules []lint.Rule, src string) []lint.Finding {
 	if err != nil {
 		t.Fatalf("load fixture: %v", err)
 	}
-	return lint.Run(p, rules, "pkg", true)
+	return p
 }
 
 // RuleNames returns the distinct rule names present in the findings.

@@ -27,8 +27,7 @@
 //     suppress with a justification.
 //
 // A finding is suppressed by a marker on the flagged line or the line
-// above, conventionally with a reason (the legacy nodeterm:ok spelling
-// still covers the whole family):
+// above, with a reason:
 //
 //	for k, v := range bindings { // lint:ok map-range order-independent copy
 package nodeterm

@@ -37,8 +37,8 @@ func (r fakeRule) Check(p *Package) []Finding {
 
 func init() {
 	Register(fakeRule{name: "fake-bad", scope: []string{"pkg"}})
-	// Registered under a determinism-family name so the legacy nodeterm:ok
-	// alias tests run against the real covers() path.
+	// Registered under a determinism-family name so the retired legacy
+	// spelling is checked against a rule it used to cover.
 	Register(fakeRule{name: "time-now", scope: []string{"pkg"}})
 }
 
@@ -111,24 +111,20 @@ func TestRunSuppression(t *testing.T) {
 	}
 }
 
+// TestRunLegacyAlias pins the retirement of the historical suppression
+// spelling (the determinism family's old name followed by ":ok"): it
+// suppresses nothing, with or without a reason, and the suppression
+// meta-rule does not read it as a marker.
 func TestRunLegacyAlias(t *testing.T) {
-	rules := []Rule{fakeRule{name: "time-now"}}
-
-	covered := parseFixture(t, "package pkg\n\nfunc Bad() {} // nodeterm:ok historical justification\n")
-	if got := Run(covered, rules, "pkg", true); len(got) != 0 {
-		t.Errorf("legacy marker did not suppress determinism-family rule: %v", got)
-	}
-
-	// The legacy alias covers only the determinism family.
-	other := parseFixture(t, "package pkg\n\nfunc Bad() {} // nodeterm:ok historical justification\n")
-	if got := Run(other, []Rule{fakeRule{name: "fake-bad"}}, "pkg", true); len(got) != 1 {
-		t.Errorf("legacy marker suppressed a non-family rule: %v", got)
-	}
-
-	bare := parseFixture(t, "package pkg\n\nfunc Bad() {} // nodeterm:ok\n")
-	got := Run(bare, rules, "pkg", true)
-	if len(got) != 2 {
-		t.Errorf("reason-less legacy marker: %v", got)
+	legacy := "nodeterm" + ":ok"
+	for _, src := range []string{
+		"package pkg\n\nfunc Bad() {} // " + legacy + " historical justification\n",
+		"package pkg\n\nfunc Bad() {} // " + legacy + "\n",
+	} {
+		got := Run(parseFixture(t, src), []Rule{fakeRule{name: "time-now"}}, "pkg", true)
+		if len(got) != 1 || got[0].Rule != "time-now" {
+			t.Errorf("%q: want the time-now finding alone, got %v", src, got)
+		}
 	}
 }
 

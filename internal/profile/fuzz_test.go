@@ -6,15 +6,19 @@ import (
 	"testing"
 )
 
+// v1Snapshot is the pre-versioning single-sample format (no version field,
+// Measurement-shaped entries). Load must reject it.
+const v1Snapshot = `{"entries":{"root#gemm.chunk=4":{"ValueUs":12.5,"Trial":3}}}`
+
 // FuzzIndexLoad hardens the snapshot loader: arbitrary bytes — corrupt,
-// truncated, hostile, or valid v1/v2 saves — must either load cleanly or
+// truncated, hostile, v1 or valid v2 saves — must either load cleanly or
 // return an error, never panic. A successfully loaded index must survive a
-// Save/Load round trip.
+// Save/Load round trip, and the v1 seed must not load.
 func FuzzIndexLoad(f *testing.F) {
 	// Current v2 multi-sample format.
 	f.Add([]byte(`{"version":2,"entries":{"root#gemm.chunk=4":{"count":3,"mean":12.5,"m2":0.3,"trial":7}}}`))
-	// Legacy (pre-versioning) single-sample format.
-	f.Add([]byte(`{"entries":{"root#gemm.chunk=4":{"ValueUs":12.5,"Trial":3}}}`))
+	// Pre-versioning single-sample format: must error.
+	f.Add([]byte(v1Snapshot))
 	// Truncated mid-entry.
 	f.Add([]byte(`{"version":2,"entries":{"a":{"count":`))
 	// Future version.
@@ -29,6 +33,9 @@ func FuzzIndexLoad(f *testing.F) {
 		ix := NewIndex()
 		if err := ix.Load(bytes.NewReader(data)); err != nil {
 			return // rejected cleanly: exactly what corrupt input should do
+		}
+		if string(data) == v1Snapshot {
+			t.Fatal("v1 snapshot loaded")
 		}
 		// Accepted: the index must be fully usable. Round-trip it.
 		var buf bytes.Buffer

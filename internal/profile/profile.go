@@ -176,10 +176,11 @@ var interned sync.Map // string -> string
 //
 //astra:hotpath
 func Intern(s string) string {
-	if c, ok := interned.Load(s); ok { // lint:ok hotpath sync.Map key boxing, traded for index-wide string dedup
+	if c, ok := interned.Load(s); ok {
 		return c.(string)
 	}
-	c, _ := interned.LoadOrStore(s, s) // lint:ok hotpath first-sighting slow path, once per distinct key
+	// lint:ok escape first-sighting slow path, once per distinct key
+	c, _ := interned.LoadOrStore(s, s)
 	return c.(string)
 }
 
@@ -281,6 +282,7 @@ func (ix *Index) SetTrial(t int) { ix.trial.Store(int64(t)) }
 //
 //astra:hotpath
 func (ix *Index) Record(k Key, us float64) {
+	// lint:ok escape inlined Policy: the default FixedSamples(1) is a small integer, boxed without allocating
 	pol := ix.Policy()
 	sh := ix.shardFor(k)
 	sh.mu.Lock()
@@ -325,6 +327,7 @@ func (ix *Index) get(k Key) (Stats, bool) {
 //astra:hotpath
 func (ix *Index) Has(k Key) bool {
 	st, ok := ix.get(k)
+	// lint:ok escape inlined Policy: the default FixedSamples(1) is a small integer, boxed without allocating
 	measured := ok && ix.Policy().Satisfied(st)
 	if measured {
 		ix.hits.Add(1)
@@ -503,7 +506,7 @@ type Entry struct {
 func (ix *Index) Entries() []Entry {
 	snap := ix.snapshot()
 	out := make([]Entry, 0, len(snap))
-	for k, st := range snap { // nodeterm:ok sorted below
+	for k, st := range snap { // lint:ok map-range sorted below
 		out = append(out, Entry{Key: k, Stats: st})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
@@ -530,9 +533,9 @@ func (ix *Index) Dump() string {
 	return b.String()
 }
 
-// snapshotVersion is the current serialized format. Version 2 added
-// multi-sample statistics; version-0/1 files (no version field) hold one
-// Measurement per key and load as single-sample statistics.
+// snapshotVersion is the serialized format, the only one Load accepts.
+// Version 2 added multi-sample statistics; the single-sample files before
+// it carried no version field and are rejected.
 const snapshotVersion = 2
 
 // snapshotEntry is the serialized per-key record of the v2 format.
@@ -546,13 +549,6 @@ type snapshotEntry struct {
 type snapshotFile struct {
 	Version int                      `json:"version"`
 	Entries map[string]snapshotEntry `json:"entries"`
-}
-
-// legacyEntry matches the pre-versioning single-sample snapshot format
-// (Measurement serialized with Go's default field names).
-type legacyEntry struct {
-	ValueUs float64 `json:"ValueUs"`
-	Trial   int     `json:"Trial"`
 }
 
 // Save serializes the index as versioned JSON. A saved index warm-starts a
@@ -593,9 +589,8 @@ const (
 // LoadReplace, the historical behaviour).
 func (ix *Index) SetLoadMode(m LoadMode) { ix.loadMode.Store(int32(m)) }
 
-// Load installs a Save'd snapshot, accepting both the current multi-sample
-// format and legacy single-sample saves (which load as one-sample
-// statistics). Under the default LoadReplace mode the snapshot replaces the
+// Load installs a Save'd snapshot; a snapshot of any other format version
+// is an error. Under the default LoadReplace mode the snapshot replaces the
 // contents and resets the query statistics, session sample counter and
 // trial tag — counters accumulated before the load belong to a different
 // session, and keeping them would corrupt warm-start reporting and the
@@ -609,28 +604,20 @@ func (ix *Index) Load(r io.Reader) error {
 	if err := json.NewDecoder(r).Decode(&raw); err != nil {
 		return fmt.Errorf("profile: load: %w", err)
 	}
-	if raw.Version > snapshotVersion {
-		return fmt.Errorf("profile: load: snapshot version %d newer than supported %d", raw.Version, snapshotVersion)
+	if raw.Version != snapshotVersion {
+		return fmt.Errorf("profile: load: snapshot version %d, want %d", raw.Version, snapshotVersion)
 	}
 	m := make(map[Key]Stats, len(raw.Entries))
 	for k, msg := range raw.Entries {
-		if raw.Version >= 2 {
-			var e snapshotEntry
-			if err := json.Unmarshal(msg, &e); err != nil {
-				return fmt.Errorf("profile: load: entry %q: %w", k, err)
-			}
-			count := e.Count
-			if count < 1 {
-				count = 1
-			}
-			m[Key(Intern(k))] = Stats{Count: count, Mean: e.Mean, M2: e.M2, Trial: e.Trial}
-		} else {
-			var e legacyEntry
-			if err := json.Unmarshal(msg, &e); err != nil {
-				return fmt.Errorf("profile: load: legacy entry %q: %w", k, err)
-			}
-			m[Key(Intern(k))] = Stats{Count: 1, Mean: e.ValueUs, Trial: e.Trial}
+		var e snapshotEntry
+		if err := json.Unmarshal(msg, &e); err != nil {
+			return fmt.Errorf("profile: load: entry %q: %w", k, err)
 		}
+		count := e.Count
+		if count < 1 {
+			count = 1
+		}
+		m[Key(Intern(k))] = Stats{Count: count, Mean: e.Mean, M2: e.M2, Trial: e.Trial}
 	}
 	if LoadMode(ix.loadMode.Load()) == LoadMerge {
 		// Merge: live entries win (first-measurement-wins, matching

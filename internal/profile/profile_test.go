@@ -294,27 +294,23 @@ func TestVersionedSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLegacySingleSampleSnapshotLoads(t *testing.T) {
-	// A pre-versioning snapshot (no version field, Measurement-shaped
-	// entries) must load as single-sample statistics.
-	legacy := `{"entries":{"ctx#v=a":{"ValueUs":12.5,"Trial":7},"#w=b":{"ValueUs":3,"Trial":0}}}`
+// TestLegacySingleSampleSnapshotRejected: a snapshot of any version but 2
+// — the pre-versioning single-sample format, or one from the future — is
+// an error, and the index keeps its contents.
+func TestLegacySingleSampleSnapshotRejected(t *testing.T) {
 	ix := NewIndex()
-	if err := ix.Load(strings.NewReader(legacy)); err != nil {
-		t.Fatal(err)
+	ix.Record(K("ctx", "v", "a"), 1)
+	for _, snap := range []string{
+		v1Snapshot,
+		`{"version":1,"entries":{}}`,
+		`{"version":99,"entries":{}}`,
+	} {
+		if err := ix.Load(strings.NewReader(snap)); err == nil || !strings.Contains(err.Error(), "snapshot version") {
+			t.Errorf("Load(%s) = %v, want a version error", snap, err)
+		}
 	}
-	if ix.Len() != 2 {
-		t.Fatalf("Len = %d", ix.Len())
-	}
-	st, ok := ix.LookupStats(K("ctx", "v", "a"))
-	if !ok || st.Count != 1 || st.Mean != 12.5 || st.Trial != 7 {
-		t.Fatalf("legacy stats = %+v %v", st, ok)
-	}
-	if !ix.Has(K("ctx", "v", "a")) {
-		t.Fatal("legacy entry not measured under default policy")
-	}
-	// A future version must be rejected, not silently misread.
-	if err := ix.Load(strings.NewReader(`{"version":99,"entries":{}}`)); err == nil {
-		t.Fatal("accepted snapshot from the future")
+	if ix.Len() != 1 || !ix.Has(K("ctx", "v", "a")) {
+		t.Fatalf("rejected load changed the index: Len = %d", ix.Len())
 	}
 }
 

@@ -70,7 +70,7 @@ var levels = map[string]enumerate.Preset{
 
 func levelNames() []string {
 	out := make([]string, 0, len(levels))
-	for l := range levels { // nodeterm:ok sorted below
+	for l := range levels { // lint:ok map-range sorted below
 		out = append(out, l)
 	}
 	sort.Strings(out)

@@ -477,7 +477,7 @@ func (s *Server) maybeEvict() {
 		used int64
 	}
 	var cands []cand
-	for sig, st := range s.sigs { // nodeterm:ok sorted below before use
+	for sig, st := range s.sigs { // lint:ok map-range sorted below before use
 		if st.completed && st.active == 0 {
 			cands = append(cands, cand{sig, st.lastUsed})
 		}
@@ -558,10 +558,10 @@ func (s *Server) StatsSnapshot() Stats {
 	}
 	s.mu.Lock()
 	st.ModelTenants = len(s.priors)
-	for _, m := range s.priors { // nodeterm:ok order-independent sum
+	for _, m := range s.priors { // lint:ok map-range order-independent sum
 		st.ModelUpdates += m.Updates()
 	}
-	for sig, e := range s.sigs { // nodeterm:ok sorted below
+	for sig, e := range s.sigs { // lint:ok map-range sorted below
 		st.Signatures = append(st.Signatures, SigStats{
 			Signature: sig, Completed: e.completed, ColdWiredUs: e.coldWiredUs, Active: e.active,
 		})

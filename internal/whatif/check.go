@@ -138,7 +138,7 @@ func groundTruth(s *wire.Session, meta RunMeta, pert Perturbation) (float64, err
 	dev := gpusim.NewDevice(dcfg)
 	if len(pert.Speedups) > 0 {
 		factors := map[string]float64{}
-		for class, f := range pert.Speedups { // nodeterm:ok order-independent map build
+		for class, f := range pert.Speedups { // lint:ok map-range order-independent map build
 			factors[class] = 1 / f
 		}
 		dev.SetCostOverride(gpusim.CostOverride{ClassTimeFactors: factors})

@@ -55,7 +55,7 @@ func ScenarioName(p Perturbation) string {
 		return "identity"
 	}
 	var classes []string
-	for c, f := range p.Speedups { // nodeterm:ok collected then sorted
+	for c, f := range p.Speedups { // lint:ok map-range collected then sorted
 		if f != 1 {
 			classes = append(classes, c)
 		}

@@ -14,7 +14,7 @@ import (
 // bindSpreadStreams drives every stream variable to its last (most
 // spread-out) choice so the program genuinely uses several streams.
 func bindSpreadStreams(p *enumerate.Plan) {
-	for _, v := range p.StreamVars { // nodeterm:ok independent per-variable writes
+	for _, v := range p.StreamVars { // lint:ok map-range independent per-variable writes
 		v.SetChoice(len(v.Labels) - 1)
 	}
 }

@@ -83,7 +83,7 @@ func (r ScheduleReport) String() string {
 	fmt.Fprintf(&b, "schedule: %d super-epochs, %d epochs\n", r.SuperEpochs, r.Epochs)
 	if len(r.StreamSplit) > 0 {
 		streams := make([]int, 0, len(r.StreamSplit))
-		for s := range r.StreamSplit { // nodeterm:ok keys sorted below
+		for s := range r.StreamSplit { // lint:ok map-range keys sorted below
 			streams = append(streams, s)
 		}
 		sort.Ints(streams)

@@ -396,10 +396,11 @@ func unitLabel(u *enumerate.Unit) string {
 func (r *Runner) dispatchUnit(st *execState, prog *verify.Schedule, u *enumerate.Unit, stream int, ops []verify.Pos) {
 	if r.obs != nil && r.traceDetail {
 		t0 := r.Dev.CPUTimeUs()
-		// lint:ok hotpath trace-detail closure, only runs when -trace-detail is on
 		defer func() {
+			// lint:ok escape trace-detail span arguments, only built when -trace-detail is on
+			args := map[string]interface{}{"stream": stream}
 			r.obs.Trace.AddSpan(obs.PIDDispatch, obs.TIDWirer, unitLabel(u), "dispatch",
-				r.traceOffsetUs+t0, r.Dev.CPUTimeUs()-t0, map[string]interface{}{"stream": stream})
+				r.traceOffsetUs+t0, r.Dev.CPUTimeUs()-t0, args)
 		}()
 	}
 	// Event pairs wrap only regions whose adaptive variables still need a
@@ -477,6 +478,7 @@ func (r *Runner) dispatchGroup(st *execState, prog *verify.Schedule, u *enumerat
 		members := grp.GEMMs[op.First : op.First+op.Members]
 		switch {
 		case op.Members == 0:
+			// lint:ok escape inlined Elementwise: a ladder's accumulator add concatenates its kernel name; its panic message is cold
 			r.launch(st, stream, kernels.Elementwise("add", grp.GEMMs[0].Out.Shape.NumElements()))
 		case op.Kind == verify.OpCopy:
 			var bytes int64

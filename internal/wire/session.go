@@ -455,7 +455,7 @@ func (s *Session) recordBatchTelemetry(res *BatchResult, bindings map[string]str
 		args["workers"] = len(res.WorkerUs)
 		args["comm_us"] = res.CommUs
 	}
-	for k, v := range bindings { // nodeterm:ok order-independent map-to-map copy
+	for k, v := range bindings { // lint:ok map-range order-independent map-to-map copy
 		args["bind."+k] = v
 	}
 	tel.Trace.AddSpan(obs.PIDDispatch, obs.TIDBatches, name, phase, startUs, res.TotalUs, args)
