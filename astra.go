@@ -23,9 +23,8 @@ import (
 	"io"
 
 	"astra/internal/baselines"
-	"astra/internal/distsim"
-	"astra/internal/enumerate"
 	"astra/internal/gpusim"
+	"astra/internal/job"
 	"astra/internal/models"
 	"astra/internal/obs"
 	"astra/internal/profile"
@@ -47,20 +46,6 @@ const (
 	// LevelAll adds memory-allocation strategy adaptation (Astra_all).
 	LevelAll Level = "All"
 )
-
-func (l Level) preset() enumerate.Preset {
-	switch l {
-	case LevelF:
-		return enumerate.PresetF
-	case LevelFK:
-		return enumerate.PresetFK
-	case LevelFKS:
-		return enumerate.PresetFKS
-	case LevelAll, "":
-		return enumerate.PresetAll
-	}
-	panic(fmt.Sprintf("astra: unknown level %q", l))
-}
 
 // ModelConfig sizes a model from the built-in zoo. Zero fields take the
 // paper's evaluation-scale defaults.
@@ -185,55 +170,30 @@ type Session struct {
 }
 
 // Compile runs the enumerator over the model and prepares the runtime.
-// A multi-worker configuration (Options.Workers >= 2) with an unknown
-// fabric name panics; use distsim's fabric names ("pcie3", "nvlink1").
+// An unknown level, or a multi-worker configuration (Options.Workers >= 2)
+// with an unknown fabric name, panics; use distsim's fabric names
+// ("pcie3", "nvlink1").
 func Compile(m *Model, opts Options) *Session {
-	dev := gpusim.P100()
-	dev.Autoboost = opts.Autoboost
+	shape := job.Shape{Level: string(opts.Level), Streams: opts.Streams, Workers: opts.Workers, Fabric: opts.Fabric}
+	if shape.Level == "" {
+		shape.Level = string(LevelAll)
+	}
+	cfg := shape.SessionConfig()
+	cfg.Device.Autoboost = opts.Autoboost
 	if opts.Jitter > 0 {
-		dev.Autoboost = true
-		dev.BoostJitter = opts.Jitter
+		cfg.Device.Autoboost = true
+		cfg.Device.BoostJitter = opts.Jitter
 	}
-	dev.Faults = opts.Faults
-	eopts := enumerate.PresetOptions(opts.Level.preset())
-	if opts.Streams > 0 {
-		eopts.NumStreams = opts.Streams
-	}
-	var comm wire.CommConfig
-	if opts.Workers >= 2 {
-		fabric := opts.Fabric
-		if fabric == "" {
-			fabric = "pcie3"
-		}
-		ic, ok := distsim.FabricByName(fabric)
-		if !ok {
-			panic(fmt.Sprintf("astra: unknown fabric %q", fabric))
-		}
-		comm = wire.CommConfig{
-			Workers:    opts.Workers,
-			BytesPerUs: ic.BytesPerUs,
-			LatencyUs:  ic.LatencyUs,
-			Fabric:     ic.Name,
-		}
-		eopts.CommAdapt = true
-		eopts.Workers = opts.Workers
-	}
-	ix := profile.NewIndex()
+	cfg.Device.Faults = opts.Faults
+	cfg.EvalValues = opts.EvalValues
+	cfg.LearningRate = opts.LearningRate
+	cfg.Index = profile.NewIndex()
 	if opts.Samples > 1 {
-		ix.SetPolicy(profile.FixedSamples(opts.Samples))
+		cfg.Index.SetPolicy(profile.FixedSamples(opts.Samples))
 	}
 	if opts.ProfileSnapshot != nil {
 		// Best-effort warm start: a corrupt snapshot leaves a cold index.
-		_ = ix.Load(opts.ProfileSnapshot)
-	}
-	cfg := wire.SessionConfig{
-		Device:       dev,
-		Options:      eopts,
-		Runner:       wire.RunnerConfig{PerOpCPUUs: 2},
-		EvalValues:   opts.EvalValues,
-		LearningRate: opts.LearningRate,
-		Comm:         comm,
-		Index:        ix,
+		_ = cfg.Index.Load(opts.ProfileSnapshot)
 	}
 	s := wire.NewSession(m.m, cfg)
 	s.Drift = wire.DriftConfig{Enabled: opts.Watchdog}

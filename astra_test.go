@@ -216,13 +216,14 @@ func TestBucketHelpers(t *testing.T) {
 	}
 }
 
-func TestLevelPresetPanicsOnGarbage(t *testing.T) {
+func TestCompilePanicsOnUnknownLevel(t *testing.T) {
+	m, _ := BuildModel("scrnn", ModelConfig{Batch: 2, Tiny: true})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("bad level accepted")
 		}
 	}()
-	Level("nope").preset()
+	Compile(m, Options{Level: "nope"})
 }
 
 func TestWarmStartThroughPublicAPI(t *testing.T) {

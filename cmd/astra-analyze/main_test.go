@@ -10,6 +10,7 @@ import (
 
 	"astra/internal/enumerate"
 	"astra/internal/gpusim"
+	"astra/internal/job"
 	"astra/internal/models"
 	"astra/internal/obs"
 	"astra/internal/wire"
@@ -55,19 +56,8 @@ func genEvents(t *testing.T, dir string, faults gpusim.FaultConfig, name string)
 // pcie3, so the overlap golden sees real communication kernels.
 func genCommEvents(t *testing.T, dir, name string) string {
 	t.Helper()
-	build, ok := models.Get("sublstm")
-	if !ok {
-		t.Fatal("model sublstm")
-	}
-	opts := enumerate.PresetOptions(enumerate.PresetFK)
-	opts.CommAdapt = true
-	opts.Workers = 2
-	s := wire.NewSession(build(models.TinyConfig("sublstm", 2)), wire.SessionConfig{
-		Device:  gpusim.P100(),
-		Options: opts,
-		Runner:  wire.RunnerConfig{PerOpCPUUs: 2},
-		Comm:    wire.CommConfig{Workers: 2, BytesPerUs: 11000, LatencyUs: 8, Fabric: "pcie3"},
-	})
+	shape := job.Shape{Model: "sublstm", Scale: job.Tiny, Batch: 2, Level: "FK", Workers: 2, Fabric: "pcie3"}
+	s := wire.NewSession(shape.Build(), shape.SessionConfig())
 	tel := obs.NewTelemetry()
 	var sink bytes.Buffer
 	tel.SetEventSink(&sink)

@@ -19,61 +19,80 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"astra"
 	"astra/internal/baselines"
-	"astra/internal/distsim"
 	"astra/internal/gpusim"
+	"astra/internal/job"
 )
 
-func main() {
-	model := flag.String("model", "sublstm", "model: "+strings.Join(astra.ModelNames(), ", "))
-	batch := flag.Int("batch", 16, "mini-batch size")
-	level := flag.String("level", "All", "adaptation level for the astra dispatcher: F, FK, FKS, All")
-	dispatcher := flag.String("dispatcher", "astra", "astra, native, tf, xla or cudnn")
-	batches := flag.Int("steps", 3, "post-exploration mini-batches to run")
-	report := flag.Bool("report", false, "print the wired schedule report (astra dispatcher only)")
-	traceOut := flag.String("trace-out", "", "write the session-wide multi-track Chrome/Perfetto trace to this file")
-	eventsOut := flag.String("events-out", "", "write the JSONL exploration event log to this file")
-	metrics := flag.Bool("metrics", false, "print the Prometheus metrics exposition at exit")
-	timeline := flag.String("timeline", "", "write a Chrome trace of the last mini-batch only (device view)")
-	jitter := flag.Float64("jitter", 0, "autoboost clock-jitter amplitude (e.g. 0.08); >0 leaves autoboost on")
-	samples := flag.Int("samples", 1, "measurements per configuration before a choice can freeze")
-	driftAt := flag.Int("drift-at", 0, "inject a sustained clock throttle from this batch on and enable the drift watchdog")
-	workers := flag.Int("workers", 1, "data-parallel workers; >=2 simulates a multi-GPU session with explored gradient bucketing (astra dispatcher only)")
-	fabric := flag.String("fabric", "pcie3", "gradient-exchange interconnect for -workers >= 2: pcie3 or nvlink1")
-	flag.Parse()
+// dispatchers lists the valid -dispatcher values.
+var dispatchers = []string{"astra", "native", "tf", "xla", "cudnn"}
 
-	m, err := astra.BuildModel(*model, astra.ModelConfig{Batch: *batch})
-	if err != nil {
-		fail(err)
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("astra-run", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	model := fs.String("model", "sublstm", "model: "+strings.Join(astra.ModelNames(), ", "))
+	batch := fs.Int("batch", 16, "mini-batch size")
+	level := fs.String("level", "All", "adaptation level for the astra dispatcher: "+strings.Join(job.Levels(), ", "))
+	dispatcher := fs.String("dispatcher", "astra", strings.Join(dispatchers, ", "))
+	batches := fs.Int("steps", 3, "post-exploration mini-batches to run")
+	report := fs.Bool("report", false, "print the wired schedule report (astra dispatcher only)")
+	traceOut := fs.String("trace-out", "", "write the session-wide multi-track Chrome/Perfetto trace to this file")
+	eventsOut := fs.String("events-out", "", "write the JSONL exploration event log to this file")
+	metrics := fs.Bool("metrics", false, "print the Prometheus metrics exposition at exit")
+	timeline := fs.String("timeline", "", "write a Chrome trace of the last mini-batch only (device view)")
+	jitter := fs.Float64("jitter", 0, "autoboost clock-jitter amplitude (e.g. 0.08); >0 leaves autoboost on")
+	samples := fs.Int("samples", 1, "measurements per configuration before a choice can freeze")
+	driftAt := fs.Int("drift-at", 0, "inject a sustained clock throttle from this batch on and enable the drift watchdog")
+	workers := fs.Int("workers", 1, "data-parallel workers; >=2 simulates a multi-GPU session with explored gradient bucketing (astra dispatcher only)")
+	fabric := fs.String("fabric", "pcie3", "gradient-exchange interconnect for -workers >= 2: "+strings.Join(job.Fabrics(), ", "))
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	fmt.Printf("model %s: %d graph nodes, %d GEMMs, batch %d\n", m.Name(), m.Nodes(), m.GEMMs(), *batch)
+	if !slices.Contains(dispatchers, *dispatcher) {
+		fmt.Fprintf(stderr, "astra-run: unknown dispatcher %q (valid: %s)\n", *dispatcher, strings.Join(dispatchers, ", "))
+		return 2
+	}
+	shape, err := job.Shape{Model: *model, Scale: job.Default, Batch: *batch, Level: *level, Workers: *workers, Fabric: *fabric}.Normalize()
+	if err != nil {
+		fmt.Fprintln(stderr, "astra-run:", err)
+		return 2
+	}
+
+	m, err := astra.BuildModel(shape.Model, astra.ModelConfig{Batch: shape.Batch})
+	if err != nil {
+		fmt.Fprintln(stderr, "astra-run:", err)
+		return 1
+	}
+	fmt.Fprintf(stdout, "model %s: %d graph nodes, %d GEMMs, batch %d\n", m.Name(), m.Nodes(), m.GEMMs(), shape.Batch)
 
 	switch *dispatcher {
 	case "astra":
 		opts := astra.Options{
-			Level:   astra.Level(*level),
+			Level:   astra.Level(shape.Level),
 			Jitter:  *jitter,
 			Samples: *samples,
-			Workers: *workers,
-			Fabric:  *fabric,
+			Workers: shape.Workers,
+			Fabric:  shape.Fabric,
 		}
-		if *workers >= 2 {
-			if _, ok := distsim.FabricByName(*fabric); !ok {
-				fmt.Fprintf(os.Stderr, "astra-run: unknown fabric %q (have pcie3, nvlink1)\n", *fabric)
-				os.Exit(1)
-			}
-			fmt.Printf("data-parallel: %d workers over %s, per-device batch %d\n",
-				*workers, *fabric, *batch)
+		if shape.Workers >= 2 {
+			fmt.Fprintf(stdout, "data-parallel: %d workers over %s, per-device batch %d\n",
+				shape.Workers, shape.Fabric, shape.Batch)
 		}
 		if *driftAt > 0 {
 			opts.Watchdog = true
 			opts.Faults.ThrottleStartBatch = *driftAt
 		}
-		runAstra(m, opts, *batches, *report, *traceOut, *eventsOut, *metrics, *timeline)
+		err = runAstra(stdout, m, opts, *batches, *report, *traceOut, *eventsOut, *metrics, *timeline)
 	case "native", "tf":
 		fw := baselines.PyTorch()
 		if *dispatcher == "tf" {
@@ -81,29 +100,31 @@ func main() {
 		}
 		for i := 0; i < *batches; i++ {
 			res := baselines.RunNative(m.Internal().G, gpusim.NewDevice(gpusim.P100()), fw, nil, nil)
-			fmt.Printf("  step %d: %.0f us (%d kernels)\n", i+1, res.TimeUs, res.Kernels)
+			fmt.Fprintf(stdout, "  step %d: %.0f us (%d kernels)\n", i+1, res.TimeUs, res.Kernels)
 		}
 	case "xla":
 		for i := 0; i < *batches; i++ {
 			res := baselines.RunXLA(m.Internal().G, gpusim.NewDevice(gpusim.P100()), nil, nil)
-			fmt.Printf("  step %d: %.0f us (%d kernels)\n", i+1, res.TimeUs, res.Kernels)
+			fmt.Fprintf(stdout, "  step %d: %.0f us (%d kernels)\n", i+1, res.TimeUs, res.Kernels)
 		}
 	case "cudnn":
 		for i := 0; i < *batches; i++ {
 			res, ok := baselines.RunCuDNN(m.Internal(), gpusim.NewDevice(gpusim.P100()), baselines.PyTorch(), nil, nil)
 			if !ok {
-				fmt.Fprintf(os.Stderr, "astra-run: cuDNN has no kernels for %s (long-tail model)\n", m.Name())
-				os.Exit(1)
+				err = fmt.Errorf("cuDNN has no kernels for %s (long-tail model)", m.Name())
+				break
 			}
-			fmt.Printf("  step %d: %.0f us (%d kernels)\n", i+1, res.TimeUs, res.Kernels)
+			fmt.Fprintf(stdout, "  step %d: %.0f us (%d kernels)\n", i+1, res.TimeUs, res.Kernels)
 		}
-	default:
-		fmt.Fprintf(os.Stderr, "astra-run: unknown dispatcher %q\n", *dispatcher)
-		os.Exit(1)
 	}
+	if err != nil {
+		fmt.Fprintln(stderr, "astra-run:", err)
+		return 1
+	}
+	return 0
 }
 
-func runAstra(m *astra.Model, opts astra.Options, batches int, report bool, traceOut, eventsOut string, metrics bool, timeline string) {
+func runAstra(stdout io.Writer, m *astra.Model, opts astra.Options, batches int, report bool, traceOut, eventsOut string, metrics bool, timeline string) error {
 	sess := astra.Compile(m, opts)
 
 	// Telemetry must attach before Explore so the trace and event log
@@ -115,8 +136,9 @@ func runAstra(m *astra.Model, opts astra.Options, batches int, report bool, trac
 		if eventsOut != "" {
 			f, err := os.Create(eventsOut)
 			if err != nil {
-				fail(err)
+				return err
 			}
+			defer f.Close()
 			eventsFile = f
 			tel.SetEventSink(f)
 		}
@@ -124,37 +146,37 @@ func runAstra(m *astra.Model, opts astra.Options, batches int, report bool, trac
 
 	stats := sess.Explore()
 	if err := sess.Err(); err != nil {
-		fail(fmt.Errorf("exploration failed: %w", err))
+		return fmt.Errorf("exploration failed: %w", err)
 	}
-	fmt.Printf("explored %d configurations across %d allocation strategies\n",
+	fmt.Fprintf(stdout, "explored %d configurations across %d allocation strategies\n",
 		stats.Configs, stats.AllocStrategies)
-	fmt.Printf("wired mini-batch: %.0f us (native PyTorch: %.0f us) -> speedup %.2fx\n",
+	fmt.Fprintf(stdout, "wired mini-batch: %.0f us (native PyTorch: %.0f us) -> speedup %.2fx\n",
 		stats.WiredBatchUs, stats.NativeBatchUs, stats.Speedup)
 	if stats.Workers > 1 {
-		fmt.Printf("cluster step (%d workers): %.0f us, gradient exchange %.0f us link-busy\n",
+		fmt.Fprintf(stdout, "cluster step (%d workers): %.0f us, gradient exchange %.0f us link-busy\n",
 			stats.Workers, stats.WiredBatchUs, stats.CommUs)
 	}
-	fmt.Printf("always-on profiling overhead: %.3f%%\n", stats.ProfilingOverhead*100)
+	fmt.Fprintf(stdout, "always-on profiling overhead: %.3f%%\n", stats.ProfilingOverhead*100)
 	for i := 0; i < batches; i++ {
-		fmt.Printf("  step %d: %.0f us\n", i+1, sess.Step())
+		fmt.Fprintf(stdout, "  step %d: %.0f us\n", i+1, sess.Step())
 		if !sess.Done() {
 			// A drift event thawed the explorer mid-wired-phase:
 			// re-explore in-session and continue wired.
-			fmt.Printf("  drift detected -> re-exploring\n")
+			fmt.Fprintf(stdout, "  drift detected -> re-exploring\n")
 			re := sess.Explore()
 			if err := sess.Err(); err != nil {
-				fail(fmt.Errorf("re-exploration failed: %w", err))
+				return fmt.Errorf("re-exploration failed: %w", err)
 			}
-			fmt.Printf("  re-wired after %d total configurations: %.0f us\n",
+			fmt.Fprintf(stdout, "  re-wired after %d total configurations: %.0f us\n",
 				re.Configs, re.WiredBatchUs)
 		}
 	}
 	if n := sess.DriftEvents(); n > 0 {
-		fmt.Printf("drift events: %d\n", n)
+		fmt.Fprintf(stdout, "drift events: %d\n", n)
 	}
 	if report {
-		fmt.Println()
-		fmt.Print(sess.Internal().Report())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, sess.Internal().Report())
 	}
 
 	ws := sess.Internal()
@@ -168,51 +190,50 @@ func runAstra(m *astra.Model, opts astra.Options, batches int, report bool, trac
 		if ws.ClockUs > 0 {
 			overheadPct = ws.ProfOverheadUs / ws.ClockUs * 100
 		}
-		fmt.Printf("\ntelemetry summary: %d batches (%d exploration trials), %.0f us simulated\n",
+		fmt.Fprintf(stdout, "\ntelemetry summary: %d batches (%d exploration trials), %.0f us simulated\n",
 			ws.Batches, ws.Trials, ws.ClockUs)
-		fmt.Printf("profiling overhead: %.0f us = %.3f%% of total simulated time\n",
+		fmt.Fprintf(stdout, "profiling overhead: %.0f us = %.3f%% of total simulated time\n",
 			ws.ProfOverheadUs, overheadPct)
-		fmt.Printf("profile index: %d entries, hit rate %.2f\n", ws.Ix.Len(), ws.Ix.HitRate())
+		fmt.Fprintf(stdout, "profile index: %d entries, hit rate %.2f\n", ws.Ix.Len(), ws.Ix.HitRate())
 
 		if traceOut != "" {
-			f, err := os.Create(traceOut)
-			if err != nil {
-				fail(err)
+			if err := writeFile(traceOut, tel.Trace.WriteChromeTrace); err != nil {
+				return err
 			}
-			if err := tel.Trace.WriteChromeTrace(f); err != nil {
-				fail(err)
-			}
-			f.Close()
-			fmt.Printf("session trace written to %s (open in ui.perfetto.dev or chrome://tracing)\n", traceOut)
+			fmt.Fprintf(stdout, "session trace written to %s (open in ui.perfetto.dev or chrome://tracing)\n", traceOut)
 		}
 		if eventsFile != nil {
 			n := tel.Events.Count()
 			if err := eventsFile.Close(); err != nil {
-				fail(err)
+				return err
 			}
-			fmt.Printf("event log written to %s (%d records)\n", eventsOut, n)
+			fmt.Fprintf(stdout, "event log written to %s (%d records)\n", eventsOut, n)
 		}
 		if metrics {
-			fmt.Println()
-			if err := tel.Metrics.WriteProm(os.Stdout); err != nil {
-				fail(err)
+			fmt.Fprintln(stdout)
+			if err := tel.Metrics.WriteProm(stdout); err != nil {
+				return err
 			}
 		}
 	}
 	if timeline != "" {
-		f, err := os.Create(timeline)
-		if err != nil {
-			fail(err)
+		if err := writeFile(timeline, ws.Runner.Dev.WriteChromeTrace); err != nil {
+			return err
 		}
-		if err := ws.Runner.Dev.WriteChromeTrace(f); err != nil {
-			fail(err)
-		}
-		f.Close()
-		fmt.Printf("last-batch timeline written to %s (open in chrome://tracing)\n", timeline)
+		fmt.Fprintf(stdout, "last-batch timeline written to %s (open in chrome://tracing)\n", timeline)
 	}
+	return nil
 }
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "astra-run:", err)
-	os.Exit(1)
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -7,10 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"astra/internal/distsim"
-	"astra/internal/enumerate"
-	"astra/internal/gpusim"
-	"astra/internal/models"
+	"astra/internal/job"
 	"astra/internal/obs"
 	"astra/internal/wire"
 )
@@ -19,27 +16,11 @@ import (
 // batches) and writes its JSONL event log to dir.
 func genEvents(t *testing.T, dir string, workers int, fabric string) string {
 	t.Helper()
-	build, ok := models.Get("sublstm")
-	if !ok {
-		t.Fatal("model sublstm")
+	shape, err := job.Shape{Model: "sublstm", Scale: job.Tiny, Batch: 4, Level: "FK", Workers: workers, Fabric: fabric}.Normalize()
+	if err != nil {
+		t.Fatal(err)
 	}
-	opts := enumerate.PresetOptions(enumerate.PresetFK)
-	var comm wire.CommConfig
-	if workers >= 2 {
-		ic, ok := distsim.FabricByName(fabric)
-		if !ok {
-			t.Fatalf("fabric %q", fabric)
-		}
-		comm = wire.CommConfig{Workers: workers, BytesPerUs: ic.BytesPerUs, LatencyUs: ic.LatencyUs, Fabric: ic.Name}
-		opts.CommAdapt = true
-		opts.Workers = workers
-	}
-	s := wire.NewSession(build(models.TinyConfig("sublstm", 4)), wire.SessionConfig{
-		Device:  gpusim.P100(),
-		Options: opts,
-		Runner:  wire.RunnerConfig{PerOpCPUUs: 2},
-		Comm:    comm,
-	})
+	s := wire.NewSession(shape.Build(), shape.SessionConfig())
 	tel := obs.NewTelemetry()
 	var sink bytes.Buffer
 	tel.SetEventSink(&sink)

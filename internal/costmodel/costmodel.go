@@ -51,38 +51,6 @@ type Meta struct {
 	Fabric  string
 }
 
-// MetaFromSignature parses a serve job signature
-// ("model=…;scale=…;batch=…;level=…;streams=…;workers=…;fabric=…;") back
-// into the fields the cost model features use. Unknown or malformed fields
-// are left at their zero values — the signature format is stable
-// (serve.Job.Signature), but the model must never fail on a foreign string.
-func MetaFromSignature(sig string) Meta {
-	var m Meta
-	for _, part := range strings.Split(sig, ";") {
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			continue
-		}
-		switch k {
-		case "model":
-			m.Model = v
-		case "scale":
-			m.Scale = v
-		case "batch":
-			if n, err := strconv.Atoi(v); err == nil && n > 0 {
-				m.Batch = n
-			}
-		case "workers":
-			if n, err := strconv.Atoi(v); err == nil && n > 0 {
-				m.Workers = n
-			}
-		case "fabric":
-			m.Fabric = v
-		}
-	}
-	return m
-}
-
 // varClass buckets an adaptive-variable ID into the enumerator's variable
 // families — the coarsest feature the L2 backoff level keys on. The strings
 // are constants so classification never allocates.

@@ -82,21 +82,6 @@ func TestBatchBucket(t *testing.T) {
 	}
 }
 
-func TestMetaFromSignature(t *testing.T) {
-	sig := "model=scrnn;scale=default;batch=16;level=FK;streams=4;workers=4;fabric=pcie3;"
-	got := MetaFromSignature(sig)
-	if got != testMeta {
-		t.Errorf("MetaFromSignature = %+v, want %+v", got, testMeta)
-	}
-	// Hostile strings never panic and leave zero values.
-	for _, s := range []string{"", ";;;", "batch=-4;workers=zz", "model"} {
-		m := MetaFromSignature(s)
-		if m.Batch != 0 || m.Workers != 0 {
-			t.Errorf("MetaFromSignature(%q) = %+v, want zero numerics", s, m)
-		}
-	}
-}
-
 // TestObservePredictBackoff exercises the three-level backoff: exact shape
 // answers from L0, a new batch of a known model from L1, a brand-new model
 // from the global L2 class stats.

@@ -72,6 +72,9 @@ const (
 	PresetAll Preset = "Astra_all"
 )
 
+// DefaultStreams is the stream count of options that leave NumStreams 0.
+const DefaultStreams = 2
+
 // PresetOptions returns the options for a named preset.
 func PresetOptions(p Preset) Options {
 	o := Options{FusionAdapt: true, ElementwiseFusion: true, Preset: string(p)}
@@ -94,7 +97,7 @@ func PresetOptions(p Preset) Options {
 
 func (o Options) withDefaults() Options {
 	if o.NumStreams == 0 {
-		o.NumStreams = 2
+		o.NumStreams = DefaultStreams
 	}
 	if o.SuperEpochUs == 0 {
 		o.SuperEpochUs = 2000

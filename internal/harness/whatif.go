@@ -3,7 +3,7 @@ package harness
 import (
 	"fmt"
 
-	"astra/internal/enumerate"
+	"astra/internal/job"
 	"astra/internal/obs"
 	"astra/internal/parallel"
 	"astra/internal/whatif"
@@ -47,7 +47,8 @@ func ExtWhatIf(o Options) (*Table, error) {
 		models = append(models, "milstm", "stackedlstm", "gnmt")
 	}
 	reports, err := parallel.Map(o.workers(), len(models), func(i int) (*whatif.CheckReport, error) {
-		rep, err := whatif.SelfCheck(models[i], 4, 2, "pcie3", enumerate.PresetFK, true, 2, scenarios, tolerancePct)
+		shape := job.Shape{Model: models[i], Scale: job.Tiny, Batch: 4, Level: "FK", Workers: 2, Fabric: "pcie3"}
+		rep, err := whatif.SelfCheck(shape, 2, scenarios, tolerancePct)
 		if err != nil {
 			return nil, fmt.Errorf("ext-whatif %s: %w", models[i], err)
 		}

@@ -79,13 +79,19 @@ type TrialEvent struct {
 	// "where did this batch's time go".
 	Profiles []BatchProfile `json:"profiles,omitempty"`
 
-	// Session-construction metadata, stamped on every record by the wire
-	// session: enough for a what-if scenario checker (astra-whatif -check)
-	// to rebuild an equivalent session from the event log alone and
-	// re-simulate perturbed configurations for ground truth. Model names
-	// the zoo model, ModelScale how it was sized ("default", "tiny", or
-	// "custom" for hand-built configs the log cannot reconstruct), and
-	// PerDeviceBatch the per-worker mini-batch size.
+	// SessionMeta stamps the session's construction facts on every record
+	// (its fields flatten into the record's JSON).
+	SessionMeta
+}
+
+// SessionMeta is the session-construction metadata the wire session stamps
+// on every event record: enough for a what-if scenario checker
+// (astra-whatif -check) to rebuild an equivalent session from the event log
+// alone and re-simulate perturbed configurations for ground truth.
+type SessionMeta struct {
+	// Model names the zoo model, ModelScale how it was sized ("default",
+	// "tiny", or "custom" for hand-built configs the log cannot
+	// reconstruct), and PerDeviceBatch the per-worker mini-batch size.
 	Model          string `json:"model,omitempty"`
 	ModelScale     string `json:"model_scale,omitempty"`
 	PerDeviceBatch int    `json:"per_device_batch,omitempty"`

@@ -286,7 +286,7 @@ func TestEvictionUnderCeiling(t *testing.T) {
 	}
 
 	sig := func(model string, batch int) string {
-		j, err := (Job{Model: model, Batch: batch}).withDefaults()
+		j, err := (Job{Model: model, Batch: batch}).Normalize()
 		if err != nil {
 			t.Fatalf("bad shape: %v", err)
 		}

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"astra/internal/job"
 )
 
 // FuzzServeRequest hardens the job intake: arbitrary bytes — hostile JSON,
@@ -58,7 +60,7 @@ func FuzzServeRequest(f *testing.F) {
 				j.Steps < 1 || j.Steps > maxSteps || j.Streams < 0 || j.Streams > maxStreams {
 				t.Fatalf("accepted job out of range: %+v", j)
 			}
-			if _, ok := levels[j.Level]; !ok {
+			if _, ok := job.Preset(j.Level); !ok {
 				t.Fatalf("accepted job has bad level %q", j.Level)
 			}
 			if j.Workers == 1 && j.Fabric != "" {

@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 
-	"astra/internal/distsim"
-	"astra/internal/enumerate"
-	"astra/internal/models"
+	"astra/internal/costmodel"
+	"astra/internal/job"
 )
 
 // Job is one wiring request a tenant submits: which model at which scale,
@@ -61,32 +59,6 @@ const (
 	maxSteps     = 64
 )
 
-var levels = map[string]enumerate.Preset{
-	"F":   enumerate.PresetF,
-	"FK":  enumerate.PresetFK,
-	"FKS": enumerate.PresetFKS,
-	"All": enumerate.PresetAll,
-}
-
-func levelNames() []string {
-	out := make([]string, 0, len(levels))
-	for l := range levels { // lint:ok map-range sorted below
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func fabricNames() []string {
-	fabrics := distsim.Fabrics()
-	out := make([]string, 0, len(fabrics))
-	for _, f := range fabrics {
-		out = append(out, f.Name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ValidationError rejects a malformed job; it always names the valid
 // choices for the offending field so a client can self-correct.
 type ValidationError struct{ msg string }
@@ -111,16 +83,15 @@ func ParseJob(data []byte) (Job, error) {
 	if dec.More() {
 		return Job{}, invalidf("bad job JSON: trailing data after the job object")
 	}
-	return j.withDefaults()
+	return j.Normalize()
 }
 
 // Normalize validates the job and returns it with defaults applied — the
-// exact normalization Submit performs on intake, for callers that need the
+// normalization Submit performs on intake, also for callers that need the
 // canonical shape (e.g. to compute its Signature) without submitting.
-func (j Job) Normalize() (Job, error) { return j.withDefaults() }
-
-// withDefaults validates the job and fills omitted fields.
-func (j Job) withDefaults() (Job, error) {
+// serve's own defaults and hostile-input limits come first, then the
+// shape's names.
+func (j Job) Normalize() (Job, error) {
 	if j.Tenant == "" {
 		j.Tenant = "anon"
 	}
@@ -130,15 +101,8 @@ func (j Job) withDefaults() (Job, error) {
 	if strings.ContainsAny(j.Tenant, "#\n\r") {
 		return Job{}, invalidf("tenant name must not contain '#' or newlines")
 	}
-	if _, ok := models.Get(j.Model); !ok {
-		return Job{}, invalidf("unknown model %q (valid models: %s)", j.Model, strings.Join(models.Names(), ", "))
-	}
-	switch j.Scale {
-	case "":
-		j.Scale = "tiny"
-	case "tiny", "default":
-	default:
-		return Job{}, invalidf("unknown scale %q (valid scales: default, tiny)", j.Scale)
+	if j.Scale == "" {
+		j.Scale = job.Tiny
 	}
 	if j.Batch == 0 {
 		j.Batch = 4
@@ -149,9 +113,6 @@ func (j Job) withDefaults() (Job, error) {
 	if j.Level == "" {
 		j.Level = "FK"
 	}
-	if _, ok := levels[j.Level]; !ok {
-		return Job{}, invalidf("unknown level %q (valid levels: %s)", j.Level, strings.Join(levelNames(), ", "))
-	}
 	if j.Streams < 0 || j.Streams > maxStreams {
 		return Job{}, invalidf("streams %d out of range (valid: 0..%d, 0 = preset default)", j.Streams, maxStreams)
 	}
@@ -161,35 +122,33 @@ func (j Job) withDefaults() (Job, error) {
 	if j.Workers < 1 || j.Workers > maxWorkers {
 		return Job{}, invalidf("workers %d out of range (valid: 1..%d)", j.Workers, maxWorkers)
 	}
-	if j.Workers >= 2 {
-		if j.Fabric == "" {
-			j.Fabric = "pcie3"
-		}
-		if _, ok := distsim.FabricByName(j.Fabric); !ok {
-			return Job{}, invalidf("unknown fabric %q (valid fabrics: %s)", j.Fabric, strings.Join(fabricNames(), ", "))
-		}
-	} else if j.Fabric != "" {
-		if _, ok := distsim.FabricByName(j.Fabric); !ok {
-			return Job{}, invalidf("unknown fabric %q (valid fabrics: %s)", j.Fabric, strings.Join(fabricNames(), ", "))
-		}
-		j.Fabric = "" // single-worker sessions have no exchange
-	}
 	if j.Steps == 0 {
 		j.Steps = 1
 	}
 	if j.Steps < 1 || j.Steps > maxSteps {
 		return Job{}, invalidf("steps %d out of range (valid: 1..%d)", j.Steps, maxSteps)
 	}
+	shape, err := j.Shape().Normalize()
+	if err != nil {
+		return Job{}, &ValidationError{msg: err.Error()}
+	}
+	j.Fabric = shape.Fabric
 	return j, nil
 }
 
-// Signature is the job's shape identity: every field that affects what the
-// exploration measures, and nothing else (the tenant is deliberately
-// excluded — cross-tenant reuse is the point). It doubles as the base
-// profile context namespacing the job's keys in the fleet store, so it must
-// never be a string prefix of a different signature: the trailing ';' after
-// every field guarantees that (batch=1; vs batch=12; differ at the ';').
-func (j Job) Signature() string {
-	return fmt.Sprintf("model=%s;scale=%s;batch=%d;level=%s;streams=%d;workers=%d;fabric=%s;",
-		j.Model, j.Scale, j.Batch, j.Level, j.Streams, j.Workers, j.Fabric)
+// Shape is the job's shape: every field but the tenant, the step count and
+// the prior.
+func (j Job) Shape() job.Shape {
+	return job.Shape{Model: j.Model, Scale: j.Scale, Batch: j.Batch, Level: j.Level,
+		Streams: j.Streams, Workers: j.Workers, Fabric: j.Fabric}
+}
+
+// Signature is the job's shape identity (job.Shape.Signature): every field
+// that affects what the exploration measures, and nothing else (the tenant
+// is deliberately excluded — cross-tenant reuse is the point).
+func (j Job) Signature() string { return j.Shape().Signature() }
+
+// costMeta is the normalized job's feature tuple for the cost model.
+func (j Job) costMeta() costmodel.Meta {
+	return costmodel.Meta{Model: j.Model, Scale: j.Scale, Batch: j.Batch, Workers: j.Workers, Fabric: j.Fabric}
 }

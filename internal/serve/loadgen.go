@@ -108,7 +108,7 @@ func (r *LoadReport) Signatures() []string {
 func RunLoad(ctx context.Context, sub Submitter, cfg LoadConfig) (*LoadReport, error) {
 	cfg = cfg.withDefaults()
 	for i, j := range cfg.Mix {
-		if _, err := j.withDefaults(); err != nil {
+		if _, err := j.Normalize(); err != nil {
 			return nil, fmt.Errorf("serve: load mix entry %d: %w", i, err)
 		}
 	}

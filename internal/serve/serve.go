@@ -29,10 +29,6 @@ import (
 
 	"astra/internal/adapt"
 	"astra/internal/costmodel"
-	"astra/internal/distsim"
-	"astra/internal/enumerate"
-	"astra/internal/gpusim"
-	"astra/internal/models"
 	"astra/internal/obs"
 	"astra/internal/profile"
 	"astra/internal/wire"
@@ -274,7 +270,7 @@ func (s *Server) Submit(ctx context.Context, job Job, emit func(Event)) (*Result
 	if emit == nil {
 		emit = func(Event) {}
 	}
-	j, err := job.withDefaults()
+	j, err := job.Normalize()
 	if err != nil {
 		s.mRejInvalid.Inc()
 		return nil, err
@@ -381,33 +377,7 @@ func (s *Server) Submit(ctx context.Context, job Job, emit func(Event)) (*Result
 // bound to the shared fleet store under the job's signature namespace,
 // explore with per-trial events, then run the wired steps.
 func (s *Server) runSession(ctx context.Context, j Job, sig string, emit func(Event)) (*sessionOutcome, error) {
-	build, ok := models.Get(j.Model)
-	if !ok {
-		return nil, invalidf("unknown model %q", j.Model) // unreachable after validation
-	}
-	var mc models.Config
-	if j.Scale == "tiny" {
-		mc = models.TinyConfig(j.Model, j.Batch)
-	} else {
-		mc = models.DefaultConfig(j.Model, j.Batch)
-	}
-	m := build(mc)
-	eopts := enumerate.PresetOptions(levels[j.Level])
-	if j.Streams > 0 {
-		eopts.NumStreams = j.Streams
-	}
-	var comm wire.CommConfig
-	if j.Workers >= 2 {
-		ic, _ := distsim.FabricByName(j.Fabric)
-		comm = wire.CommConfig{
-			Workers:    j.Workers,
-			BytesPerUs: ic.BytesPerUs,
-			LatencyUs:  ic.LatencyUs,
-			Fabric:     ic.Name,
-		}
-		eopts.CommAdapt = true
-		eopts.Workers = j.Workers
-	}
+	shape := j.Shape()
 	// Every session trains its tenant's cost model (ModeTrain plans nothing,
 	// so default jobs behave exactly as before this model existed); a job
 	// submitted with Prior lets the model rank and margin-prune candidates.
@@ -415,17 +385,11 @@ func (s *Server) runSession(ctx context.Context, j Job, sig string, emit func(Ev
 	if j.Prior {
 		mode = costmodel.ModeFull
 	}
-	planner := costmodel.NewPlanner(s.priorModel(j.Tenant), costmodel.MetaFromSignature(sig),
-		costmodel.PlannerConfig{Mode: mode})
-	sess := wire.NewSession(m, wire.SessionConfig{
-		Device:         gpusim.P100(),
-		Options:        eopts,
-		Runner:         wire.RunnerConfig{PerOpCPUUs: 2},
-		Comm:           comm,
-		Index:          s.fleet,
-		ProfileContext: sig,
-		Prior:          planner,
-	})
+	cfg := shape.SessionConfig()
+	cfg.Index = s.fleet
+	cfg.ProfileContext = sig
+	cfg.Prior = costmodel.NewPlanner(s.priorModel(j.Tenant), j.costMeta(), costmodel.PlannerConfig{Mode: mode})
+	sess := wire.NewSession(shape.Build(), cfg)
 	out := &sessionOutcome{}
 	for !sess.Done() {
 		if err := ctx.Err(); err != nil {

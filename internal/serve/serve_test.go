@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"astra/internal/costmodel"
 )
 
 func TestJobValidationRejectsWithValidChoices(t *testing.T) {
@@ -89,10 +91,39 @@ func TestJobDefaultsAndSignature(t *testing.T) {
 
 	// No signature may be a prefix of a different shape's (eviction works
 	// by prefix).
-	p1, _ := (Job{Model: "sublstm", Batch: 1}).withDefaults()
-	p2, _ := (Job{Model: "sublstm", Batch: 12}).withDefaults()
+	p1, _ := (Job{Model: "sublstm", Batch: 1}).Normalize()
+	p2, _ := (Job{Model: "sublstm", Batch: 12}).Normalize()
 	if strings.HasPrefix(p2.Signature(), p1.Signature()) {
 		t.Fatalf("signature %q is a prefix of %q", p1.Signature(), p2.Signature())
+	}
+}
+
+// TestCostMetaPinned pins the cost-model features each standard mix shape
+// trains and predicts under; a tenant's learned model is keyed on them, so
+// they must not move when the job → Meta mapping is touched.
+func TestCostMetaPinned(t *testing.T) {
+	want := []costmodel.Meta{
+		{Model: "sublstm", Scale: "tiny", Batch: 4, Workers: 1},
+		{Model: "scrnn", Scale: "tiny", Batch: 4, Workers: 1},
+		{Model: "milstm", Scale: "tiny", Batch: 4, Workers: 1},
+		{Model: "sublstm", Scale: "tiny", Batch: 8, Workers: 1},
+		{Model: "scrnn", Scale: "tiny", Batch: 4, Workers: 2, Fabric: "pcie3"},
+		{Model: "sublstm", Scale: "tiny", Batch: 4, Workers: 2, Fabric: "nvlink1"},
+		{Model: "milstm", Scale: "tiny", Batch: 2, Workers: 1},
+		{Model: "scrnn", Scale: "tiny", Batch: 4, Workers: 1},
+	}
+	mix := DefaultMix()
+	if len(mix) != len(want) {
+		t.Fatalf("DefaultMix has %d shapes, pinned %d", len(mix), len(want))
+	}
+	for i, j := range mix {
+		n, err := j.Normalize()
+		if err != nil {
+			t.Fatalf("mix shape %d: %v", i, err)
+		}
+		if got := n.costMeta(); got != want[i] {
+			t.Errorf("%s: costMeta = %+v, want %+v", n.Signature(), got, want[i])
+		}
 	}
 }
 

@@ -28,7 +28,7 @@ func TestSoakConcurrentTenantsMatchSolo(t *testing.T) {
 	// Solo ground truth: each distinct shape on its own private server.
 	solo := map[string]float64{}
 	for _, j := range mix {
-		jd, err := j.withDefaults()
+		jd, err := j.Normalize()
 		if err != nil {
 			t.Fatalf("mix shape invalid: %v", err)
 		}
@@ -106,7 +106,7 @@ func TestSoakSameShapeStampede(t *testing.T) {
 		tenants = 6
 	}
 	job := Job{Model: "sublstm", Level: "FK"}
-	jd, _ := job.withDefaults()
+	jd, _ := job.Normalize()
 
 	baseline, err := NewServer(Config{}).Submit(context.Background(), job, nil)
 	if err != nil {

@@ -236,15 +236,21 @@ func BindingLabel(p *enumerate.Plan) string {
 	return strings.Join(parts, " ")
 }
 
-// VerifyPlan runs the complete analysis suite: the plan-level checks
-// (graph, units, every allocation strategy) plus a structural sweep of the
-// configuration space.
-func VerifyPlan(p *enumerate.Plan, spec Spec) *Report {
+// CheckPlan runs the plan-level checks: the graph IR, the schedule-unit
+// partition, and every allocation strategy the explorer could pick.
+func CheckPlan(p *enumerate.Plan) *Report {
 	r := CheckGraph(p.G)
 	r.Merge(CheckUnits(p))
 	for _, a := range p.Allocs {
 		r.Merge(CheckStrategy(a, p.G.Values, p.Requests))
 	}
+	return r
+}
+
+// VerifyPlan runs the complete analysis suite: the plan-level checks
+// (CheckPlan) plus a structural sweep of the configuration space.
+func VerifyPlan(p *enumerate.Plan, spec Spec) *Report {
+	r := CheckPlan(p)
 	r.Merge(SweepConfigs(p, spec))
 	return r
 }

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"math"
 
-	"astra/internal/distsim"
-	"astra/internal/enumerate"
 	"astra/internal/gpusim"
-	"astra/internal/models"
+	"astra/internal/job"
 	"astra/internal/obs"
 	"astra/internal/wire"
 )
@@ -41,87 +39,44 @@ type CheckReport struct {
 // OK reports whether every cell passed.
 func (r *CheckReport) OK() bool { return len(r.Failures) == 0 }
 
-// validPreset guards enumerate.PresetOptions, which panics on unknown names.
-func validPreset(p string) bool {
-	switch enumerate.Preset(p) {
-	case enumerate.PresetF, enumerate.PresetFK, enumerate.PresetFKS, enumerate.PresetAll:
-		return true
-	}
-	return false
-}
-
-// checkable rejects logs Check cannot ground-truth: replay handles them
-// fine, but re-simulation needs to rebuild the exact session from metadata.
-func checkable(events []obs.TrialEvent, meta RunMeta) error {
+// checkable rejects logs Check cannot ground-truth (replay handles them
+// fine, but re-simulation needs to rebuild the exact session from
+// metadata) and returns the recorded shape.
+func checkable(events []obs.TrialEvent, meta RunMeta) (job.Shape, error) {
 	if !meta.HasMeta {
-		return fmt.Errorf("whatif: event log carries no session metadata (predates stamping); -check needs a fresh recording")
+		return job.Shape{}, fmt.Errorf("whatif: event log carries no session metadata (predates stamping); -check needs a fresh recording")
 	}
 	if meta.Model == "" {
-		return fmt.Errorf("whatif: event log names no model; cannot rebuild the session")
+		return job.Shape{}, fmt.Errorf("whatif: event log names no model; cannot rebuild the session")
 	}
-	if _, ok := models.Get(meta.Model); !ok {
-		return fmt.Errorf("whatif: recorded model %q is not in the zoo", meta.Model)
-	}
-	if meta.ModelScale != "default" && meta.ModelScale != "tiny" {
-		return fmt.Errorf("whatif: recorded model scale %q is not reconstructible (only default/tiny are)", meta.ModelScale)
-	}
-	if !validPreset(meta.Preset) {
-		return fmt.Errorf("whatif: recorded preset %q is not a known enumeration preset", meta.Preset)
+	shape, err := meta.Shape()
+	if err != nil {
+		return job.Shape{}, err
 	}
 	if meta.Noisy {
-		return fmt.Errorf("whatif: recorded run used a noisy device (autoboost or fault injection); ground truth is not reproducible")
+		return job.Shape{}, fmt.Errorf("whatif: recorded run used a noisy device (autoboost or fault injection); ground truth is not reproducible")
 	}
 	base := gpusim.P100()
 	for i := range events {
 		for j := range events[i].Profiles {
 			if n := events[i].Profiles[j].NumSMs; n != base.NumSMs {
-				return fmt.Errorf("whatif: recorded device has %d SMs, not the P100's %d; cannot rebuild the session", n, base.NumSMs)
+				return job.Shape{}, fmt.Errorf("whatif: recorded device has %d SMs, not the P100's %d; cannot rebuild the session", n, base.NumSMs)
 			}
 		}
 	}
-	return nil
+	return shape, nil
 }
 
-// rebuildSession reconstructs the recorded session from the log metadata:
-// same model and scale, same preset and stream count, same device cost
-// constants, same fabric and ring. The returned session has not stepped.
-func rebuildSession(meta RunMeta) (*wire.Session, error) {
-	build, _ := models.Get(meta.Model)
-	var mcfg models.Config
-	if meta.ModelScale == "tiny" {
-		mcfg = models.TinyConfig(meta.Model, meta.PerDeviceBatch)
-	} else {
-		mcfg = models.DefaultConfig(meta.Model, meta.PerDeviceBatch)
-	}
-	eopts := enumerate.PresetOptions(enumerate.Preset(meta.Preset))
-	if meta.NumStreams > 0 {
-		eopts.NumStreams = meta.NumStreams
-	}
-	dev := gpusim.P100()
-	dev.Seed = meta.Seed
-	dev.LaunchOverheadUs = meta.LaunchOverheadUs
-	dev.KernelSetupUs = meta.KernelSetupUs
-	var comm wire.CommConfig
-	if meta.Workers >= 2 {
-		ic, ok := distsim.FabricByName(meta.Fabric)
-		if !ok {
-			return nil, fmt.Errorf("whatif: recorded fabric %q is not a known interconnect", meta.Fabric)
-		}
-		comm = wire.CommConfig{
-			Workers:    meta.Workers,
-			BytesPerUs: ic.BytesPerUs,
-			LatencyUs:  ic.LatencyUs,
-			Fabric:     ic.Name,
-		}
-		eopts.CommAdapt = true
-		eopts.Workers = meta.Workers
-	}
-	return wire.NewSession(build(mcfg), wire.SessionConfig{
-		Device:  dev,
-		Options: eopts,
-		Runner:  wire.RunnerConfig{PerOpCPUUs: meta.PerOpCPUUs},
-		Comm:    comm,
-	}), nil
+// rebuildConfig reconstructs the recorded session's configuration through
+// the same lowering the recorder used: the recorded shape plus the recorded
+// device cost constants.
+func rebuildConfig(shape job.Shape, meta RunMeta) wire.SessionConfig {
+	cfg := shape.SessionConfig()
+	cfg.Device.Seed = meta.Seed
+	cfg.Device.LaunchOverheadUs = meta.LaunchOverheadUs
+	cfg.Device.KernelSetupUs = meta.KernelSetupUs
+	cfg.Runner.PerOpCPUUs = meta.PerOpCPUUs
+	return cfg
 }
 
 // groundTruth re-simulates one scenario's wired batch with the real
@@ -130,12 +85,20 @@ func rebuildSession(meta RunMeta) (*wire.Session, error) {
 // Replicas are identical (the device is noise-free, Check guarantees it),
 // so one rank-0 runner IS the cluster step — the same solo-reference
 // pattern internal/distsim uses.
-func groundTruth(s *wire.Session, meta RunMeta, pert Perturbation) (float64, error) {
-	dcfg := gpusim.P100()
-	dcfg.Seed = meta.Seed
-	dcfg.LaunchOverheadUs = meta.LaunchOverheadUs * pert.launchFactor()
-	dcfg.KernelSetupUs = meta.KernelSetupUs
-	dev := gpusim.NewDevice(dcfg)
+func groundTruth(s *wire.Session, shape job.Shape, meta RunMeta, pert Perturbation) (float64, error) {
+	if pert.Workers != 0 {
+		shape.Workers = pert.Workers
+	}
+	if pert.Fabric != "" {
+		shape.Fabric = pert.Fabric
+	}
+	shape, err := shape.Normalize()
+	if err != nil {
+		return 0, fmt.Errorf("whatif: %w", err)
+	}
+	cfg := rebuildConfig(shape, meta)
+	cfg.Device.LaunchOverheadUs *= pert.launchFactor()
+	dev := gpusim.NewDevice(cfg.Device)
 	if len(pert.Speedups) > 0 {
 		factors := map[string]float64{}
 		for class, f := range pert.Speedups { // lint:ok map-range order-independent map build
@@ -143,28 +106,9 @@ func groundTruth(s *wire.Session, meta RunMeta, pert Perturbation) (float64, err
 		}
 		dev.SetCostOverride(gpusim.CostOverride{ClassTimeFactors: factors})
 	}
-	rcfg := wire.RunnerConfig{PerOpCPUUs: meta.PerOpCPUUs, Profile: true}
-	workers := meta.Workers
-	if pert.Workers != 0 {
-		workers = pert.Workers
-	}
-	if workers >= 2 {
-		fabric := meta.Fabric
-		if pert.Fabric != "" {
-			fabric = pert.Fabric
-		}
-		ic, ok := distsim.FabricByName(fabric)
-		if !ok {
-			return 0, fmt.Errorf("whatif: unknown fabric %q", fabric)
-		}
-		rcfg.Comm = wire.CommConfig{
-			Workers:    workers,
-			BytesPerUs: ic.BytesPerUs,
-			LatencyUs:  ic.LatencyUs,
-			Fabric:     ic.Name,
-		}
-	}
-	return wire.NewRunner(s.Plan, dev, rcfg).RunBatch(nil, nil).TotalUs, nil
+	cfg.Runner.Profile = true
+	cfg.Runner.Comm = cfg.Comm
+	return wire.NewRunner(s.Plan, dev, cfg.Runner).RunBatch(nil, nil).TotalUs, nil
 }
 
 // Check validates every scenario's replay prediction against ground-truth
@@ -176,7 +120,8 @@ func groundTruth(s *wire.Session, meta RunMeta, pert Perturbation) (float64, err
 // run sequentially (they share the rebuilt plan).
 func Check(events []obs.TrialEvent, scenarios []Scenario, tolerancePct float64, par int) (*CheckReport, error) {
 	meta := MetaFromEvents(events)
-	if err := checkable(events, meta); err != nil {
+	shape, err := checkable(events, meta)
+	if err != nil {
 		return nil, err
 	}
 	for _, sc := range scenarios {
@@ -201,10 +146,7 @@ func Check(events []obs.TrialEvent, scenarios []Scenario, tolerancePct float64, 
 		return nil, err
 	}
 
-	s, err := rebuildSession(meta)
-	if err != nil {
-		return nil, err
-	}
+	s := wire.NewSession(shape.Build(), rebuildConfig(shape, meta))
 	s.Explore()
 	if err := s.Err(); err != nil {
 		return nil, fmt.Errorf("whatif: rebuilt session failed exploration: %w", err)
@@ -225,7 +167,7 @@ func Check(events []obs.TrialEvent, scenarios []Scenario, tolerancePct float64, 
 		if pred == nil {
 			continue // skipped by a failed prediction; PredictMatrix surfaced the error
 		}
-		sim, err := groundTruth(s, meta, sc.Pert)
+		sim, err := groundTruth(s, shape, meta, sc.Pert)
 		if err != nil {
 			return nil, fmt.Errorf("whatif: scenario %q: %w", sc.Name, err)
 		}
@@ -263,43 +205,17 @@ func Check(events []obs.TrialEvent, scenarios []Scenario, tolerancePct float64, 
 	return rep, nil
 }
 
-// SelfCheck records a fresh session end-to-end and validates the scenario
-// matrix against it: build → instrument with an in-memory event sink →
-// explore → run wired batches → replay + Check. It is the round-trip proof
-// the ext-whatif harness experiment and the CI smoke job run.
-func SelfCheck(model string, batch, workers int, fabric string, preset enumerate.Preset, tiny bool, wiredSteps int, scenarios []Scenario, tolerancePct float64) (*CheckReport, error) {
-	build, ok := models.Get(model)
-	if !ok {
-		return nil, fmt.Errorf("whatif: unknown model %q", model)
+// SelfCheck records a fresh session of the shape end-to-end and validates
+// the scenario matrix against it: build → instrument with an in-memory
+// event sink → explore → run wired batches → replay + Check. It is the
+// round-trip proof the ext-whatif harness experiment and the CI smoke job
+// run.
+func SelfCheck(shape job.Shape, wiredSteps int, scenarios []Scenario, tolerancePct float64) (*CheckReport, error) {
+	shape, err := shape.Normalize()
+	if err != nil {
+		return nil, fmt.Errorf("whatif: %w", err)
 	}
-	var mcfg models.Config
-	if tiny {
-		mcfg = models.TinyConfig(model, batch)
-	} else {
-		mcfg = models.DefaultConfig(model, batch)
-	}
-	eopts := enumerate.PresetOptions(preset)
-	var comm wire.CommConfig
-	if workers >= 2 {
-		ic, ok := distsim.FabricByName(fabric)
-		if !ok {
-			return nil, fmt.Errorf("whatif: unknown fabric %q", fabric)
-		}
-		comm = wire.CommConfig{
-			Workers:    workers,
-			BytesPerUs: ic.BytesPerUs,
-			LatencyUs:  ic.LatencyUs,
-			Fabric:     ic.Name,
-		}
-		eopts.CommAdapt = true
-		eopts.Workers = workers
-	}
-	s := wire.NewSession(build(mcfg), wire.SessionConfig{
-		Device:  gpusim.P100(),
-		Options: eopts,
-		Runner:  wire.RunnerConfig{PerOpCPUUs: 2},
-		Comm:    comm,
-	})
+	s := wire.NewSession(shape.Build(), shape.SessionConfig())
 	var buf bytes.Buffer
 	tel := obs.NewTelemetry()
 	tel.SetEventSink(&buf)

@@ -29,6 +29,8 @@ import (
 
 	"astra/internal/analyze"
 	"astra/internal/distsim"
+	"astra/internal/enumerate"
+	"astra/internal/job"
 	"astra/internal/obs"
 	"astra/internal/parallel"
 )
@@ -117,7 +119,7 @@ func (p Perturbation) validate(meta RunMeta) error {
 	if p.Fabric != "" {
 		if _, ok := distsim.FabricByName(p.Fabric); !ok {
 			return fmt.Errorf("whatif: unknown fabric %q (valid: %s)",
-				p.Fabric, strings.Join(fabricNames(), ", "))
+				p.Fabric, strings.Join(job.Fabrics(), ", "))
 		}
 	}
 	commChange := p.Fabric != "" || p.Workers > 1 || p.bucketFactor() != 1
@@ -139,15 +141,6 @@ func validClass(c string) bool {
 		}
 	}
 	return false
-}
-
-func fabricNames() []string {
-	var out []string
-	for _, ic := range distsim.Fabrics() {
-		out = append(out, ic.Name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Scenario is a named perturbation — one cell of a what-if matrix.
@@ -193,19 +186,40 @@ func MetaFromEvents(events []obs.TrialEvent) RunMeta {
 		if ev.Model == "" {
 			continue
 		}
+		m := ev.SessionMeta
 		meta.HasMeta = true
-		meta.Model = ev.Model
-		meta.ModelScale = ev.ModelScale
-		meta.PerDeviceBatch = ev.PerDeviceBatch
-		meta.Preset = ev.Preset
-		meta.NumStreams = ev.NumStreams
-		meta.Seed = ev.Seed
-		meta.PerOpCPUUs = ev.PerOpCPUUs
-		meta.LaunchOverheadUs = ev.LaunchOverheadUs
-		meta.KernelSetupUs = ev.KernelSetupUs
-		meta.Noisy = meta.Noisy || ev.Noisy
+		meta.Model = m.Model
+		meta.ModelScale = m.ModelScale
+		meta.PerDeviceBatch = m.PerDeviceBatch
+		meta.Preset = m.Preset
+		meta.NumStreams = m.NumStreams
+		meta.Seed = m.Seed
+		meta.PerOpCPUUs = m.PerOpCPUUs
+		meta.LaunchOverheadUs = m.LaunchOverheadUs
+		meta.KernelSetupUs = m.KernelSetupUs
+		meta.Noisy = meta.Noisy || m.Noisy
 	}
 	return meta
+}
+
+// Shape returns the job shape the recorded session was compiled from. The
+// log stamps the effective stream count, so the preset default reads back
+// as 0 (no override); both compile to the same plan.
+func (m RunMeta) Shape() (job.Shape, error) {
+	level, ok := job.LevelOf(enumerate.Preset(m.Preset))
+	if !ok {
+		return job.Shape{}, fmt.Errorf("whatif: recorded preset %q is not a known enumeration preset", m.Preset)
+	}
+	streams := m.NumStreams
+	if streams == enumerate.DefaultStreams {
+		streams = 0
+	}
+	shape, err := job.Shape{Model: m.Model, Scale: m.ModelScale, Batch: m.PerDeviceBatch, Level: level,
+		Streams: streams, Workers: m.Workers, Fabric: m.Fabric}.Normalize()
+	if err != nil {
+		return job.Shape{}, fmt.Errorf("whatif: recorded session cannot be rebuilt: %w", err)
+	}
+	return shape, nil
 }
 
 // BatchPrediction pairs one recorded batch with its predicted replay.

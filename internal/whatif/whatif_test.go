@@ -3,15 +3,16 @@ package whatif
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
 	"astra/internal/analyze"
-	"astra/internal/distsim"
 	"astra/internal/enumerate"
-	"astra/internal/gpusim"
+	"astra/internal/job"
 	"astra/internal/models"
 	"astra/internal/obs"
+	"astra/internal/serve"
 	"astra/internal/wire"
 )
 
@@ -19,27 +20,12 @@ import (
 // log: explore to convergence, then `wired` post-exploration batches.
 func recordRun(t *testing.T, model string, preset enumerate.Preset, workers int, fabric string, wired int) []obs.TrialEvent {
 	t.Helper()
-	build, ok := models.Get(model)
-	if !ok {
-		t.Fatalf("unknown model %q", model)
+	level, _ := job.LevelOf(preset)
+	shape, err := job.Shape{Model: model, Scale: job.Tiny, Batch: 4, Level: level, Workers: workers, Fabric: fabric}.Normalize()
+	if err != nil {
+		t.Fatal(err)
 	}
-	eopts := enumerate.PresetOptions(preset)
-	var comm wire.CommConfig
-	if workers >= 2 {
-		ic, ok := distsim.FabricByName(fabric)
-		if !ok {
-			t.Fatalf("unknown fabric %q", fabric)
-		}
-		comm = wire.CommConfig{Workers: workers, BytesPerUs: ic.BytesPerUs, LatencyUs: ic.LatencyUs, Fabric: ic.Name}
-		eopts.CommAdapt = true
-		eopts.Workers = workers
-	}
-	s := wire.NewSession(build(models.TinyConfig(model, 4)), wire.SessionConfig{
-		Device:  gpusim.P100(),
-		Options: eopts,
-		Runner:  wire.RunnerConfig{PerOpCPUUs: 2},
-		Comm:    comm,
-	})
+	s := wire.NewSession(shape.Build(), shape.SessionConfig())
 	var buf bytes.Buffer
 	tel := obs.NewTelemetry()
 	tel.SetEventSink(&buf)
@@ -171,7 +157,7 @@ func TestCheckMatrixWithinTolerance(t *testing.T) {
 		NewScenario(Perturbation{Speedups: map[string]float64{obs.ClassGEMM: 2}}),
 		NewScenario(Perturbation{LaunchFactor: 0.5}),
 	)
-	rep, err := SelfCheck("sublstm", 4, 2, "pcie3", enumerate.PresetFK, true, 2, scenarios, 5)
+	rep, err := SelfCheck(job.Shape{Model: "sublstm", Scale: job.Tiny, Batch: 4, Level: "FK", Workers: 2, Fabric: "pcie3"}, 2, scenarios, 5)
 	if err != nil {
 		t.Fatalf("SelfCheck: %v", err)
 	}
@@ -197,7 +183,7 @@ func TestCheckSingleGPUSpeedups(t *testing.T) {
 		NewScenario(Perturbation{LaunchFactor: 0.5}),
 		NewScenario(Perturbation{LaunchFactor: 2}),
 	}
-	rep, err := SelfCheck("scrnn", 4, 1, "", enumerate.PresetFK, true, 2, scenarios, 5)
+	rep, err := SelfCheck(job.Shape{Model: "scrnn", Scale: job.Tiny, Batch: 4, Level: "FK", Workers: 1}, 2, scenarios, 5)
 	if err != nil {
 		t.Fatalf("SelfCheck: %v", err)
 	}
@@ -345,5 +331,49 @@ func TestMetaFromEvents(t *testing.T) {
 	bare := MetaFromEvents([]obs.TrialEvent{{Batch: 0, BatchUs: 10}})
 	if bare.HasMeta || bare.Workers != 1 || bare.LaunchOverheadUs != 7 {
 		t.Fatalf("bare meta = %+v", bare)
+	}
+}
+
+// TestShapeRoundTrip: the stamp a session writes reads back to the shape it
+// was lowered from, and the rebuild lowers that shape to the recorded
+// session configuration, so -check re-simulates exactly what was recorded.
+// The standard serve mix covers both fabrics and a batch and a stream
+// override; the FKS shape adds a stream override under stream adaptation.
+func TestShapeRoundTrip(t *testing.T) {
+	t.Parallel()
+	var shapes []job.Shape
+	for _, j := range serve.DefaultMix() {
+		n, err := j.Normalize()
+		if err != nil {
+			t.Fatalf("mix job %+v: %v", j, err)
+		}
+		shapes = append(shapes, n.Shape())
+	}
+	shapes = append(shapes, job.Shape{Model: "sublstm", Scale: job.Tiny, Batch: 4, Level: "FKS", Streams: 4, Workers: 1})
+	for _, want := range shapes {
+		cfg := want.SessionConfig()
+		s := wire.NewSession(want.Build(), cfg)
+		var buf bytes.Buffer
+		tel := obs.NewTelemetry()
+		tel.SetEventSink(&buf)
+		s.Instrument(tel)
+		s.Step()
+		events, err := obs.ReadTrialEvents(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: reading events: %v", want.Signature(), err)
+		}
+		meta := MetaFromEvents(events)
+		got, err := meta.Shape()
+		if err != nil {
+			t.Fatalf("%s: %v", want.Signature(), err)
+		}
+		if got != want {
+			t.Fatalf("shape read back from the log = %+v, want %+v", got, want)
+		}
+		rebuilt := rebuildConfig(got, meta)
+		rebuilt.Index, rebuilt.Prior = cfg.Index, cfg.Prior
+		if !reflect.DeepEqual(rebuilt, cfg) {
+			t.Fatalf("%s: rebuilt session config differs:\n got %+v\nwant %+v", want.Signature(), rebuilt, cfg)
+		}
 	}
 }

@@ -88,24 +88,9 @@ type Session struct {
 	driftEWMA     float64
 	driftBreach   int
 
-	meta sessionMeta
-}
-
-// sessionMeta pins the construction facts of the session — the model, its
-// scale, and the cost constants the devices simulate under. It is stamped
-// onto every event-log record so astra-whatif -check can rebuild an
-// equivalent session from the log alone.
-type sessionMeta struct {
-	Model            string
-	ModelScale       string
-	PerDeviceBatch   int
-	Preset           string
-	NumStreams       int
-	Seed             uint64
-	PerOpCPUUs       float64
-	LaunchOverheadUs float64
-	KernelSetupUs    float64
-	Noisy            bool
+	// meta is stamped onto every event-log record so astra-whatif -check
+	// can rebuild an equivalent session from the log alone.
+	meta obs.SessionMeta
 }
 
 // DriftConfig tunes the wired-phase drift watchdog (§4.6: hardware drift —
@@ -270,7 +255,7 @@ func NewSession(m *models.Model, cfg SessionConfig) *Session {
 	if cfg.EvalValues {
 		s.Params = m.G.InitialParams()
 	}
-	s.meta = sessionMeta{
+	s.meta = obs.SessionMeta{
 		Model:            m.Name,
 		ModelScale:       modelScale(m),
 		PerDeviceBatch:   m.Cfg.Batch,
@@ -285,14 +270,8 @@ func NewSession(m *models.Model, cfg SessionConfig) *Session {
 	if plan.Tree != nil {
 		s.Exp = adapt.NewExplorerPrior(plan.Tree, s.Ix, cfg.ProfileContext, cfg.Prior)
 	}
-	// Plan-level analyses run once: the graph IR, the unit partition, and
-	// every allocation strategy the explorer could pick.
-	r := verify.CheckGraph(plan.G)
-	r.Merge(verify.CheckUnits(plan))
-	for _, a := range plan.Allocs {
-		r.Merge(verify.CheckStrategy(a, plan.G.Values, plan.Requests))
-	}
-	s.recordVerify(r)
+	// Plan-level analyses run once, at wire time.
+	s.recordVerify(verify.CheckPlan(plan))
 	return s
 }
 
@@ -539,17 +518,7 @@ func (s *Session) recordBatchTelemetry(res *BatchResult, bindings map[string]str
 		PriorPruned:    pstats.Pruned,
 		PriorRankInv:   pstats.RankInversions,
 		Profiles:       s.collectProfiles(),
-
-		Model:            s.meta.Model,
-		ModelScale:       s.meta.ModelScale,
-		PerDeviceBatch:   s.meta.PerDeviceBatch,
-		Preset:           s.meta.Preset,
-		NumStreams:       s.meta.NumStreams,
-		Seed:             s.meta.Seed,
-		PerOpCPUUs:       s.meta.PerOpCPUUs,
-		LaunchOverheadUs: s.meta.LaunchOverheadUs,
-		KernelSetupUs:    s.meta.KernelSetupUs,
-		Noisy:            s.meta.Noisy,
+		SessionMeta:    s.meta,
 	}
 
 	// Fold the batch's trace analytics into the registry. The analyzer
