@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet verify lint race bench bench-json experiments experiments-quick cover cover-check analyze whatif serve serve-smoke costmodel clean
+.PHONY: all build test test-short vet verify lint race fuzz-smoke bench bench-json experiments experiments-quick cover cover-check analyze whatif serve serve-smoke costmodel clean
 
 all: build lint test race
 
@@ -41,6 +41,17 @@ test-short:
 # test timeout under the detector's ~20x slowdown; every package still runs.
 race:
 	$(GO) test -race -short ./...
+
+# Fuzz smoke (CI's test job): ten seconds of coverage-guided fuzzing on
+# each parser of input from outside the program — profile-index snapshots
+# (read from a file or the service's HTTP API) and service job requests.
+# `go test` alone runs only their seed corpora. Minimizing is off: it can
+# spend the whole window shrinking one new corpus entry. A crasher lands
+# under the package's testdata/fuzz: fix the code and commit the crasher
+# as a seed.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzIndexLoad$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/profile
+	$(GO) test -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/serve
 
 cover:
 	$(GO) test -short -cover ./...

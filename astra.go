@@ -48,7 +48,7 @@ const (
 )
 
 // ModelConfig sizes a model from the built-in zoo. Zero fields take the
-// paper's evaluation-scale defaults.
+// paper's evaluation-scale defaults; a negative Batch is an error.
 type ModelConfig struct {
 	Batch  int
 	SeqLen int
@@ -77,6 +77,9 @@ func BuildModel(name string, cfg ModelConfig) (*Model, error) {
 		return nil, fmt.Errorf("astra: unknown model %q (have %v)", name, models.Names())
 	}
 	batch := cfg.Batch
+	if batch < 0 {
+		return nil, fmt.Errorf("astra: batch %d out of range (valid: 1 or more, 0 = default 32)", batch)
+	}
 	if batch == 0 {
 		batch = 32
 	}
@@ -188,15 +191,13 @@ func Compile(m *Model, opts Options) *Session {
 	cfg.EvalValues = opts.EvalValues
 	cfg.LearningRate = opts.LearningRate
 	cfg.Index = profile.NewIndex()
-	if opts.Samples > 1 {
-		cfg.Index.SetPolicy(profile.FixedSamples(opts.Samples))
-	}
+	cfg.Index.SetSamples(opts.Samples)
 	if opts.ProfileSnapshot != nil {
 		// Best-effort warm start: a corrupt snapshot leaves a cold index.
 		_ = cfg.Index.Load(opts.ProfileSnapshot)
 	}
 	s := wire.NewSession(m.m, cfg)
-	s.Drift = wire.DriftConfig{Enabled: opts.Watchdog}
+	s.Watchdog = opts.Watchdog
 	return &Session{s: s, model: m}
 }
 

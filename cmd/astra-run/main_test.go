@@ -13,8 +13,9 @@ func runCLI(args ...string) (string, string, int) {
 	return stdout.String(), stderr.String(), code
 }
 
-// TestBadShapeExitsTwo: a bad model, level or fabric is a usage error that
-// names the valid choices, reported before any model is built.
+// TestBadShapeExitsTwo: a bad model, level, fabric, batch or worker count
+// is a usage error that names the valid choices, reported before any model
+// is built.
 func TestBadShapeExitsTwo(t *testing.T) {
 	cases := []struct {
 		name string
@@ -25,6 +26,8 @@ func TestBadShapeExitsTwo(t *testing.T) {
 		{"fabric", []string{"-model", "sublstm", "-workers", "2", "-fabric", "token-ring"}, "valid fabrics: nvlink1, pcie3"},
 		{"model", []string{"-model", "resnet50"}, "valid models: attlstm, gnmt, milstm, rhn, scrnn, stackedlstm, sublstm"},
 		{"workers", []string{"-model", "sublstm", "-workers", "0"}, "workers 0 out of range"},
+		{"zero batch", []string{"-model", "scrnn", "-batch", "0", "-steps", "1"}, "batch 0 out of range (valid: 1 or more)"},
+		{"negative batch", []string{"-model", "scrnn", "-batch", "-2"}, "batch -2 out of range (valid: 1 or more)"},
 		{"dispatcher", []string{"-model", "sublstm", "-dispatcher", "cuda"}, "valid: astra, native, tf, xla, cudnn"},
 	}
 	for _, tc := range cases {

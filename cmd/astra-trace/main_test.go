@@ -37,6 +37,21 @@ func TestUnknownModelFails(t *testing.T) {
 	}
 }
 
+// TestNegativeBatchFails: a negative -batch is a build error naming the
+// value, not a panic in the tensor allocator.
+func TestNegativeBatchFails(t *testing.T) {
+	stdout, stderr, code := runTrace("-model", "scrnn", "-batch", "-3")
+	if code != 1 {
+		t.Fatalf("exit %d, want 1 (stderr %q)", code, stderr)
+	}
+	if stdout != "" {
+		t.Fatalf("failed build printed output:\n%s", stdout)
+	}
+	if !strings.Contains(stderr, "batch -3 out of range") {
+		t.Fatalf("error does not name the batch: %s", stderr)
+	}
+}
+
 func TestValidShows(t *testing.T) {
 	// Every documented -show value must succeed on a tiny model. (The
 	// convergence view runs a full exploration; tiny keeps it fast.)

@@ -377,12 +377,12 @@ func TestThawReExploresWithFreshMeasurements(t *testing.T) {
 	}
 }
 
-func TestMultiSamplePolicyKeepsRecordingUntilSatisfied(t *testing.T) {
-	// Under a FixedSamples(3) policy the explorer must hold each choice
+func TestMultiSampleKeepsRecordingUntilSatisfied(t *testing.T) {
+	// With three samples per key the explorer must hold each choice
 	// active for three trials and freeze on the better *mean*, not on a
 	// lucky first sample.
 	ix := profile.NewIndex()
-	ix.SetPolicy(profile.FixedSamples(3))
+	ix.SetSamples(3)
 	v := NewVar("v", "good", "bad")
 	e := NewExplorer(LeafNode(v), ix)
 	// good: noisy around 10 with one lucky-looking 6; bad: consistent 9.

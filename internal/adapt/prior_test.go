@@ -180,7 +180,7 @@ func TestThawInvalidatesPlansAndReplans(t *testing.T) {
 	}
 }
 
-// TestZeroPlanIdenticalToNoPrior pins the ModeTrain guarantee: a prior that
+// TestZeroPlanIdenticalToNoPrior pins the train-only guarantee: a prior that
 // returns only zero plans must not perturb exploration at all.
 func TestZeroPlanIdenticalToNoPrior(t *testing.T) {
 	build := func() (*Tree, []*Var, func() map[string]float64) {

@@ -259,11 +259,11 @@ func TestConvergeReportMatchesSession(t *testing.T) {
 func TestConvergeReportCarriesPriorCounters(t *testing.T) {
 	model := costmodel.NewModel()
 	s, events := runEvents(t, "sublstm", "", 1, 2, func(cfg *wire.SessionConfig) {
-		// ModeFull with an initially-empty model: the session trains it
-		// online, so later variables are planned from earlier measurements.
+		// A pruning planner with an initially-empty model: the session
+		// trains it online, so later variables are planned from earlier
+		// measurements.
 		cfg.Prior = costmodel.NewPlanner(model,
-			costmodel.Meta{Model: "sublstm", Scale: "tiny", Batch: 2, Workers: 1},
-			costmodel.PlannerConfig{Mode: costmodel.ModeFull})
+			costmodel.Meta{Model: "sublstm", Scale: "tiny", Batch: 2, Workers: 1}, true)
 	})
 	ps := s.Exp.PriorStats()
 	if ps.Hits+ps.Misses == 0 {

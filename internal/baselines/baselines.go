@@ -87,7 +87,7 @@ func RunNative(g *graph.Graph, dev *gpusim.Device, fw Framework, inputs, params 
 // XLA fragile: it fuses past the diminishing-return point and cannot
 // un-fuse where measurement would have said otherwise.
 func RunXLA(g *graph.Graph, dev *gpusim.Device, inputs, params graph.Env) Result {
-	plan := enumerate.Enumerate(g, enumerate.Options{ElementwiseFusion: true})
+	plan := enumerate.Enumerate(g, enumerate.Options{})
 	runner := wire.NewRunner(plan, dev, wire.RunnerConfig{
 		PerOpCPUUs:            3, // compiled executor: minimal host cost
 		MaxFusion:             true,

@@ -29,7 +29,6 @@ package costmodel
 
 import (
 	"math"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -87,9 +86,8 @@ func batchBucket(batch int) int {
 }
 
 // FNV-1a 64, inlined: the prediction hot path hashes feature tuples
-// directly into map keys with zero allocations. The hashed byte sequence is
-// exactly the bucket's readable key string (each part's bytes followed by
-// '|'), so snapshots can rebuild the map from the readable keys alone.
+// directly into map keys with zero allocations. Each part's bytes are
+// followed by '|', so adjacent parts cannot run into one another.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -124,16 +122,6 @@ func hashUint(h uint64, v int) uint64 {
 	return (h ^ '|') * fnvPrime64
 }
 
-// hashKeyString hashes a readable bucket key — the load path's way back
-// from serialized keys to map slots.
-func hashKeyString(k string) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(k); i++ {
-		h = (h ^ uint64(k[i])) * fnvPrime64
-	}
-	return h
-}
-
 // Levels is the number of backoff levels.
 const Levels = 3
 
@@ -166,30 +154,6 @@ func hashL2(varID, label string) uint64 {
 	return hashString(h, label)
 }
 
-// Readable-key builders — the slow-path twins of the hash functions, used
-// once per new bucket and for snapshots. keyL*(…) must serialize exactly
-// the byte sequence hashL*(…) hashes; TestKeyHashConsistency pins that.
-func keyL0(meta Meta, varID, label string) string {
-	return "0|" + meta.Model + "|" + meta.Scale + "|" + varID + "|" + label + "|" +
-		strconv.Itoa(batchBucket(meta.Batch)) + "|" + strconv.Itoa(max0(meta.Workers)) + "|" + meta.Fabric + "|"
-}
-
-func keyL1(meta Meta, varID, label string) string {
-	return "1|" + meta.Model + "|" + varID + "|" + label + "|" +
-		strconv.Itoa(max0(meta.Workers)) + "|" + meta.Fabric + "|"
-}
-
-func keyL2(varID, label string) string {
-	return "2|" + varClass(varID) + "|" + label + "|"
-}
-
-func max0(v int) int {
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
 // maxBucketWeight saturates a bucket's sample count: beyond it the running
 // mean becomes an exponential moving average with weight 1/maxBucketWeight,
 // so fresh observations (post-drift re-measurements, fleet updates) always
@@ -198,7 +162,6 @@ const maxBucketWeight = 64
 
 // bucket is one feature tuple's running statistic over log(µs).
 type bucket struct {
-	key  string  // readable feature tuple (serialization + debugging)
 	n    int     // saturating observation weight
 	mean float64 // running mean of log(µs)
 }
@@ -246,12 +209,12 @@ func (m *Model) Len() int {
 	return len(m.buckets)
 }
 
-// observeBucket folds x into the bucket at hash h, creating it (with its
-// readable key from mkKey) on first sight. Caller holds the write lock.
-func (m *Model) observeBucket(h uint64, mkKey func() string, x float64) {
+// observeBucket folds x into the bucket at hash h, creating it on first
+// sight. Caller holds the write lock.
+func (m *Model) observeBucket(h uint64, x float64) {
 	b := m.buckets[h]
 	if b == nil {
-		b = &bucket{key: mkKey()}
+		b = &bucket{}
 		m.buckets[h] = b
 	}
 	if b.n < maxBucketWeight {
@@ -268,9 +231,9 @@ func (m *Model) Observe(meta Meta, varID, label string, us float64) {
 	}
 	x := math.Log(us)
 	m.mu.Lock()
-	m.observeBucket(hashL0(meta, varID, label), func() string { return keyL0(meta, varID, label) }, x)
-	m.observeBucket(hashL1(meta, varID, label), func() string { return keyL1(meta, varID, label) }, x)
-	m.observeBucket(hashL2(varID, label), func() string { return keyL2(varID, label) }, x)
+	m.observeBucket(hashL0(meta, varID, label), x)
+	m.observeBucket(hashL1(meta, varID, label), x)
+	m.observeBucket(hashL2(varID, label), x)
 	m.updates++
 	nb := len(m.buckets)
 	mu, mb := m.mUpdates, m.mBuckets

@@ -1,9 +1,9 @@
 package costmodel
 
 import (
-	"bytes"
 	"math"
-	"strings"
+	"slices"
+	"sync"
 	"testing"
 
 	"astra/internal/adapt"
@@ -12,42 +12,6 @@ import (
 )
 
 var testMeta = Meta{Model: "scrnn", Scale: "default", Batch: 16, Workers: 4, Fabric: "pcie3"}
-
-// TestKeyHashConsistency pins the core invariant of the zero-alloc hot
-// path: the incremental FNV hash of a feature tuple equals the plain FNV
-// hash of its readable key string. Snapshots depend on it — Load rebuilds
-// the hash table from readable keys alone.
-func TestKeyHashConsistency(t *testing.T) {
-	metas := []Meta{
-		{},
-		testMeta,
-		{Model: "sublstm", Scale: "tiny", Batch: 1, Workers: 1, Fabric: "nvlink1"},
-		{Model: "m|odel", Scale: "s", Batch: 1 << 20, Workers: -3, Fabric: ""},
-	}
-	vars := []struct{ id, label string }{
-		{"g0.chunk", "2"},
-		{"u3.lib", "fast"},
-		{"comm.bucket_kb", "512"},
-		{"comm.place", "dedicated"},
-		{"alloc", "pool"},
-		{"se0.ep1.c2", "s1"},
-		{"", ""},
-		{"weird|id", "weird|label"},
-	}
-	for _, m := range metas {
-		for _, v := range vars {
-			if got, want := hashL0(m, v.id, v.label), hashKeyString(keyL0(m, v.id, v.label)); got != want {
-				t.Errorf("L0 hash mismatch for %+v %q=%q: key %q", m, v.id, v.label, keyL0(m, v.id, v.label))
-			}
-			if got, want := hashL1(m, v.id, v.label), hashKeyString(keyL1(m, v.id, v.label)); got != want {
-				t.Errorf("L1 hash mismatch for %+v %q=%q: key %q", m, v.id, v.label, keyL1(m, v.id, v.label))
-			}
-			if got, want := hashL2(v.id, v.label), hashKeyString(keyL2(v.id, v.label)); got != want {
-				t.Errorf("L2 hash mismatch for %q=%q: key %q", v.id, v.label, keyL2(v.id, v.label))
-			}
-		}
-	}
-}
 
 func TestVarClass(t *testing.T) {
 	cases := map[string]string{
@@ -77,7 +41,7 @@ func TestBatchBucket(t *testing.T) {
 	// Batches in the same power-of-two bucket share an L0 key.
 	a := Meta{Model: "m", Batch: 9}
 	b := Meta{Model: "m", Batch: 15}
-	if keyL0(a, "v", "l") != keyL0(b, "v", "l") {
+	if hashL0(a, "v", "l") != hashL0(b, "v", "l") {
 		t.Errorf("batches 9 and 15 should share an L0 bucket")
 	}
 }
@@ -165,99 +129,32 @@ func TestTrainIndexDeterministicAndContextFree(t *testing.T) {
 	if math.Abs(p-want) > 1e-12 {
 		t.Fatalf("context-free mean = %v, want %v", p, want)
 	}
-	// Same index, fresh model: identical state (snapshot bytes equal).
+	// Same index, fresh model: identical state — same size, same update
+	// count and the same answer, to the bit, at every backoff level.
 	m2 := NewModel()
 	m2.TrainIndex(ix, testMeta)
-	var b1, b2 bytes.Buffer
-	if err := m.Save(&b1); err != nil {
-		t.Fatal(err)
+	if m2.Len() != m.Len() || m2.Updates() != m.Updates() {
+		t.Fatalf("TrainIndex not deterministic: %d/%d buckets, %d/%d updates",
+			m2.Len(), m.Len(), m2.Updates(), m.Updates())
 	}
-	if err := m2.Save(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Fatalf("TrainIndex not deterministic across runs")
-	}
-}
-
-func TestSnapshotRoundTrip(t *testing.T) {
-	m := NewModel()
-	m.Observe(testMeta, "g0.chunk", "2", 100)
-	m.Observe(testMeta, "g0.chunk", "8", 300)
-	m.Observe(Meta{Model: "sublstm", Batch: 8}, "lstm0.lib", "fused", 900)
-
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	saved := buf.String()
-
-	loaded := NewModel()
-	if err := loaded.Load(strings.NewReader(saved)); err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != m.Len() || loaded.Updates() != m.Updates() {
-		t.Fatalf("round-trip size: %d/%d buckets, %d/%d updates",
-			loaded.Len(), m.Len(), loaded.Updates(), m.Updates())
-	}
+	bigBatch := testMeta
+	bigBatch.Batch = 256
 	for _, q := range []struct {
 		meta       Meta
 		varID, lbl string
 	}{
-		{testMeta, "g0.chunk", "2"},
-		{testMeta, "g0.chunk", "8"},
-		{Meta{Model: "sublstm", Batch: 8}, "lstm0.lib", "fused"},
-		{Meta{Model: "other"}, "x.chunk", "2"}, // L2 backoff
+		{testMeta, "g0.chunk", "2"},  // L0
+		{testMeta, "g0.chunk", "8"},  // L0
+		{testMeta, "u0.lib", "fast"}, // L0
+		{bigBatch, "g0.chunk", "8"},  // L1
+		{Meta{}, "g7.chunk", "2"},    // L2
+		{testMeta, "g0.chunk", "16"}, // unknown
 	} {
-		p0, l0, ok0 := m.Predict(q.meta, q.varID, q.lbl)
-		p1, l1, ok1 := loaded.Predict(q.meta, q.varID, q.lbl)
-		if p0 != p1 || l0 != l1 || ok0 != ok1 {
-			t.Errorf("round-trip predict(%+v, %s, %s): (%v,%d,%v) vs (%v,%d,%v)",
-				q.meta, q.varID, q.lbl, p0, l0, ok0, p1, l1, ok1)
-		}
-	}
-	// Save is deterministic.
-	var buf2 bytes.Buffer
-	if err := loaded.Save(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if buf2.String() != saved {
-		t.Fatalf("re-save differs from original save")
-	}
-}
-
-func TestLoadRejectsHostileSnapshots(t *testing.T) {
-	good := func() string {
-		m := NewModel()
-		m.Observe(testMeta, "g0.chunk", "2", 100)
-		var b bytes.Buffer
-		if err := m.Save(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}()
-	bad := []struct{ name, in string }{
-		{"empty", ""},
-		{"garbage", "not json at all"},
-		{"truncated", good[:len(good)/2]},
-		{"missing version", `{"updates":1,"buckets":{}}`},
-		{"future version", `{"version":99,"updates":1,"buckets":{}}`},
-		{"negative updates", `{"version":1,"updates":-1,"buckets":{}}`},
-		{"bad key prefix", `{"version":1,"updates":1,"buckets":{"9|x|":{"n":1,"mean":1}}}`},
-		{"bad key suffix", `{"version":1,"updates":1,"buckets":{"0|x":{"n":1,"mean":1}}}`},
-		{"zero weight", `{"version":1,"updates":1,"buckets":{"0|x|":{"n":0,"mean":1}}}`},
-		{"huge weight", `{"version":1,"updates":1,"buckets":{"0|x|":{"n":9999,"mean":1}}}`},
-		{"trailing junk type", `{"version":1,"updates":"one","buckets":{}}`},
-	}
-	for _, tc := range bad {
-		m := NewModel()
-		m.Observe(testMeta, "u0.lib", "slow", 500) // pre-existing state
-		if err := m.Load(strings.NewReader(tc.in)); err == nil {
-			t.Errorf("%s: hostile snapshot accepted", tc.name)
-		}
-		// Never a half-load: prior state intact.
-		if _, _, ok := m.Predict(testMeta, "u0.lib", "slow"); !ok {
-			t.Errorf("%s: failed load clobbered model state", tc.name)
+		p1, l1, ok1 := m.Predict(q.meta, q.varID, q.lbl)
+		p2, l2, ok2 := m2.Predict(q.meta, q.varID, q.lbl)
+		if p1 != p2 || l1 != l2 || ok1 != ok2 {
+			t.Errorf("TrainIndex not deterministic: predict(%+v, %s, %s) = (%v,%d,%v) vs (%v,%d,%v)",
+				q.meta, q.varID, q.lbl, p1, l1, ok1, p2, l2, ok2)
 		}
 	}
 }
@@ -277,7 +174,7 @@ func TestInstrumentMetrics(t *testing.T) {
 	}
 }
 
-func plannerFixture(t *testing.T, mode Mode) *Planner {
+func plannerFixture(t *testing.T, prune bool) *Planner {
 	t.Helper()
 	m := NewModel()
 	// Chunk 2 fast, 4 close, 8 and 1 dominated.
@@ -287,45 +184,34 @@ func plannerFixture(t *testing.T, mode Mode) *Planner {
 		m.Observe(testMeta, "g0.chunk", "8", 300)
 		m.Observe(testMeta, "g0.chunk", "1", 900)
 	}
-	return NewPlanner(m, testMeta, PlannerConfig{Mode: mode})
+	return NewPlanner(m, testMeta, prune)
 }
 
+// TestPlannerModeTrain: a planner that does not prune only trains.
 func TestPlannerModeTrain(t *testing.T) {
-	p := plannerFixture(t, ModeTrain)
+	p := plannerFixture(t, false)
 	plan := p.Plan("", "g0.chunk", []string{"1", "2", "4", "8"})
 	if plan.Order != nil || plan.Pruned != nil {
-		t.Fatalf("ModeTrain produced a non-zero plan: %+v", plan)
+		t.Fatalf("train-only planner produced a non-zero plan: %+v", plan)
 	}
 	// Observe still trains.
-	before := p.Model().Updates()
+	before := p.model.Updates()
 	p.Observe("", "g0.chunk", "2", 120)
-	if p.Model().Updates() != before+1 {
-		t.Fatalf("ModeTrain Observe did not train")
+	if p.model.Updates() != before+1 {
+		t.Fatalf("train-only Observe did not train")
 	}
 }
 
-func TestPlannerModeRank(t *testing.T) {
-	p := plannerFixture(t, ModeRank)
-	plan := p.Plan("", "g0.chunk", []string{"1", "2", "4", "8"})
-	want := []int{1, 2, 3, 0} // 2, 4, 8, 1 by predicted cost
-	if len(plan.Order) != 4 {
-		t.Fatalf("rank plan order = %v", plan.Order)
-	}
-	for i, w := range want {
-		if plan.Order[i] != w {
-			t.Fatalf("rank order = %v, want %v", plan.Order, want)
-		}
-	}
-	if plan.Pruned != nil {
-		t.Fatalf("ModeRank pruned: %v", plan.Pruned)
-	}
-}
-
+// TestPlannerModeFullPrunesDominated: a pruning planner ranks by
+// predicted cost and prunes the dominated candidates.
 func TestPlannerModeFullPrunesDominated(t *testing.T) {
-	p := plannerFixture(t, ModeFull)
+	p := plannerFixture(t, true)
 	plan := p.Plan("", "g0.chunk", []string{"1", "2", "4", "8"})
+	if want := []int{1, 2, 3, 0}; !slices.Equal(plan.Order, want) { // 2, 4, 8, 1 by predicted cost
+		t.Fatalf("plan order = %v, want %v", plan.Order, want)
+	}
 	if plan.Pruned == nil {
-		t.Fatalf("ModeFull pruned nothing")
+		t.Fatalf("pruning planner pruned nothing")
 	}
 	// 2 and 4 survive (top-K=2), 8 (3x) and 1 (9x) are beyond the 35% margin.
 	wantPruned := []bool{true, false, false, true}
@@ -336,63 +222,67 @@ func TestPlannerModeFullPrunesDominated(t *testing.T) {
 	}
 }
 
+// TestPlannerMarginAndSurvivorValve pins the fixed thresholds at their
+// edges: a candidate predicted just past the 35% margin is pruned, one
+// just inside it is kept, and the top minSurvivors (2) of the predicted
+// order survive however far they trail the best.
 func TestPlannerMarginAndSurvivorValve(t *testing.T) {
 	m := NewModel()
+	m.Observe(testMeta, "g0.chunk", "1", 100)
 	m.Observe(testMeta, "g0.chunk", "2", 100)
-	m.Observe(testMeta, "g0.chunk", "4", 110)
-	m.Observe(testMeta, "g0.chunk", "8", 120)
-	// All within 35%: nothing prunable.
-	p := NewPlanner(m, testMeta, PlannerConfig{Mode: ModeFull})
-	if plan := p.Plan("", "g0.chunk", []string{"2", "4", "8"}); plan.Pruned != nil {
-		t.Fatalf("close candidates pruned: %v", plan.Pruned)
+	m.Observe(testMeta, "g0.chunk", "4", 134.9) // inside the margin
+	m.Observe(testMeta, "g0.chunk", "8", 135.1) // just past it
+	p := NewPlanner(m, testMeta, true)
+	plan := p.Plan("", "g0.chunk", []string{"1", "2", "4", "8"})
+	if want := []bool{false, false, false, true}; !slices.Equal(plan.Pruned, want) {
+		t.Fatalf("pruned = %v, want %v", plan.Pruned, want)
 	}
-	// Tiny margin prunes beyond top-K but the valve keeps K survivors even
-	// when everything past the best is "dominated".
-	p = NewPlanner(m, testMeta, PlannerConfig{Mode: ModeFull, MarginFrac: 0.01, MinSurvivors: 2})
-	plan := p.Plan("", "g0.chunk", []string{"2", "4", "8"})
-	if plan.Pruned == nil {
-		t.Fatalf("tiny margin pruned nothing")
+	// The valve: with one best and everything else 10x slower, the
+	// runner-up is still kept, and only candidates ranked past it go.
+	v := NewModel()
+	v.Observe(testMeta, "g0.chunk", "1", 100)
+	v.Observe(testMeta, "g0.chunk", "2", 1000)
+	v.Observe(testMeta, "g0.chunk", "4", 1000)
+	plan = NewPlanner(v, testMeta, true).Plan("", "g0.chunk", []string{"1", "2", "4"})
+	if want := []bool{false, false, true}; !slices.Equal(plan.Pruned, want) {
+		t.Fatalf("valve pruned = %v, want %v", plan.Pruned, want)
 	}
-	survivors := 0
-	for _, pr := range plan.Pruned {
-		if !pr {
-			survivors++
-		}
-	}
-	if survivors != 2 {
-		t.Fatalf("survivors = %d, want 2", survivors)
-	}
-	if plan.Pruned[0] {
-		t.Fatalf("predicted best was pruned")
+	// Two candidates: both are the top 2, so nothing is ever pruned.
+	if plan := NewPlanner(v, testMeta, true).Plan("", "g0.chunk", []string{"1", "2"}); plan.Pruned != nil {
+		t.Fatalf("a top-2 candidate was pruned: %v", plan.Pruned)
 	}
 }
 
 func TestPlannerUnknownAndL2Behaviour(t *testing.T) {
 	m := NewModel()
-	p := NewPlanner(m, testMeta, PlannerConfig{Mode: ModeFull})
+	p := NewPlanner(m, testMeta, true)
 	// Empty model: zero plan.
 	if plan := p.Plan("", "g0.chunk", []string{"1", "2"}); plan.Order != nil {
 		t.Fatalf("empty model produced a plan")
 	}
-	// Only-L2 knowledge ranks but never prunes (MaxLevel default 1).
+	// Only-L2 knowledge ranks but never prunes (maxPruneLevel 1), even a
+	// third candidate predicted 9x slower than the best.
 	m.Observe(Meta{Model: "donor"}, "x9.chunk", "1", 900)
 	m.Observe(Meta{Model: "donor"}, "x9.chunk", "2", 100)
-	plan := p.Plan("", "g0.chunk", []string{"1", "2"})
-	if len(plan.Order) != 2 || plan.Order[0] != 1 {
-		t.Fatalf("L2 rank order = %v, want [1 0]", plan.Order)
+	m.Observe(Meta{Model: "donor"}, "x9.chunk", "4", 900)
+	plan := p.Plan("", "g0.chunk", []string{"1", "2", "4"})
+	if len(plan.Order) != 3 || plan.Order[0] != 1 {
+		t.Fatalf("L2 rank order = %v, want 1 first", plan.Order)
 	}
 	if plan.Pruned != nil {
 		t.Fatalf("L2-only predictions pruned: %v", plan.Pruned)
 	}
-	// Unpredicted candidates sort after predicted ones and are never pruned.
+	// Unpredicted candidates sort after predicted ones and are never
+	// pruned, even ranked past the survivor valve.
 	m2 := NewModel()
 	for i := 0; i < 4; i++ {
 		m2.Observe(testMeta, "g0.chunk", "2", 100)
+		m2.Observe(testMeta, "g0.chunk", "4", 100)
 	}
-	p2 := NewPlanner(m2, testMeta, PlannerConfig{Mode: ModeFull, MarginFrac: 0.01, MinSurvivors: 1})
-	plan2 := p2.Plan("", "g0.chunk", []string{"zz", "2"})
-	if plan2.Order[0] != 1 || plan2.Order[1] != 0 {
-		t.Fatalf("order = %v, want predicted candidate first", plan2.Order)
+	p2 := NewPlanner(m2, testMeta, true)
+	plan2 := p2.Plan("", "g0.chunk", []string{"zz", "2", "4"})
+	if plan2.Order[0] != 1 || plan2.Order[1] != 2 || plan2.Order[2] != 0 {
+		t.Fatalf("order = %v, want predicted candidates first", plan2.Order)
 	}
 	if plan2.Pruned != nil {
 		t.Fatalf("unpredicted candidate pruned: %v", plan2.Pruned)
@@ -403,47 +293,53 @@ func TestPlannerUnknownAndL2Behaviour(t *testing.T) {
 // and the Invalidate→Decay wiring at run time.
 func TestPlannerImplementsPrior(t *testing.T) {
 	var _ adapt.Prior = (*Planner)(nil)
-	p := plannerFixture(t, ModeFull)
+	p := plannerFixture(t, true)
 	for i := 0; i < 8; i++ {
 		p.Observe("", "g0.chunk", "2", 100)
 	}
-	before, _, _ := p.Model().Predict(testMeta, "g0.chunk", "2")
+	before, _, _ := p.model.Predict(testMeta, "g0.chunk", "2")
 	p.Invalidate()
 	p.Observe("", "g0.chunk", "2", 1000)
-	after, _, _ := p.Model().Predict(testMeta, "g0.chunk", "2")
+	after, _, _ := p.model.Predict(testMeta, "g0.chunk", "2")
 	if after <= before {
 		t.Fatalf("post-Invalidate observation did not move the mean up")
 	}
 }
 
-func TestModeStrings(t *testing.T) {
-	for m, want := range map[Mode]string{ModeTrain: "train", ModeRank: "rank", ModeFull: "full", Mode(99): "mode?"} {
-		if got := m.String(); got != want {
-			t.Fatalf("Mode(%d).String() = %q, want %q", m, got, want)
-		}
-	}
-}
-
-func TestPlannerConfigDefaults(t *testing.T) {
-	var zero PlannerConfig
-	if zero.marginFrac() != 0.35 || zero.minSurvivors() != 2 || zero.maxLevel() != 1 {
-		t.Fatalf("zero config thresholds = %v/%v/%v, want 0.35/2/1",
-			zero.marginFrac(), zero.minSurvivors(), zero.maxLevel())
-	}
-	set := PlannerConfig{MarginFrac: 0.1, MinSurvivors: 5, MaxLevel: 2}
-	if set.marginFrac() != 0.1 || set.minSurvivors() != 5 || set.maxLevel() != 2 {
-		t.Fatalf("explicit thresholds not honoured: %v/%v/%v",
-			set.marginFrac(), set.minSurvivors(), set.maxLevel())
-	}
-}
-
-func TestPlannerAccessors(t *testing.T) {
+// TestConcurrentTrainPredictLoad is the race soak: one goroutine streams
+// observations in, one predicts, one decays — the shared fleet-model usage
+// pattern (concurrent sessions training one tenant's model, drift thaws
+// decaying it) under `make race`.
+func TestConcurrentTrainPredictLoad(t *testing.T) {
 	m := NewModel()
-	p := NewPlanner(m, testMeta, PlannerConfig{Mode: ModeRank})
-	if p.Model() != m {
-		t.Fatal("Model() did not return the bound model")
-	}
-	if p.Meta() != testMeta {
-		t.Fatalf("Meta() = %+v, want %+v", p.Meta(), testMeta)
+	m.Observe(testMeta, "g0.chunk", "2", 100)
+	const iters = 2000
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		labels := []string{"1", "2", "4", "8"}
+		for i := 0; i < iters; i++ {
+			m.Observe(testMeta, "g0.chunk", labels[i%len(labels)], float64(50+i%100))
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters; i++ {
+			m.Predict(testMeta, "g0.chunk", "2")
+			m.Predict(Meta{Model: "other"}, "x.chunk", "4")
+			m.Len()
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters/20; i++ {
+			m.Decay()
+			m.Updates()
+		}
+	}()
+	wg.Wait()
+	if _, _, ok := m.Predict(testMeta, "g0.chunk", "2"); !ok {
+		t.Fatalf("model unusable after concurrent soak")
 	}
 }

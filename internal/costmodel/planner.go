@@ -7,82 +7,25 @@ import (
 	"astra/internal/adapt"
 )
 
-// Mode selects how much of the model's advice a Planner applies.
-type Mode int
-
+// The pruning rule's fixed thresholds.
 const (
-	// ModeTrain only feeds the session's observations into the model.
-	// Plans are empty, so exploration order and candidate set are exactly
-	// what they would be with no prior — the donor/teacher configuration,
-	// and the always-safe default for sessions that must stay comparable
-	// to prior-free baselines (the serve layer's default).
-	ModeTrain Mode = iota
-	// ModeRank reorders candidate visits by predicted cost (likely-best
-	// first) and prunes nothing: every candidate is still measured, so the
-	// frozen result is provably unchanged — only the order (and therefore
-	// the time spent running bad configurations while exploring) moves.
-	ModeRank
-	// ModeFull ranks and additionally prunes candidates predicted to be
-	// dominated beyond the margin, subject to the MinSurvivors valve —
-	// the trials-to-freeze saver.
-	ModeFull
-)
-
-// String names the mode.
-func (m Mode) String() string {
-	switch m {
-	case ModeTrain:
-		return "train"
-	case ModeRank:
-		return "rank"
-	case ModeFull:
-		return "full"
-	}
-	return "mode?"
-}
-
-// PlannerConfig tunes a Planner. The zero value means ModeTrain with
-// default thresholds.
-type PlannerConfig struct {
-	Mode Mode
-	// MarginFrac is the domination margin: a candidate is pruned only when
+	// marginFrac is the domination margin: a candidate is pruned only when
 	// its predicted cost exceeds the predicted best by more than this
-	// fraction (log-space ratio). The margin is the safety knob — it must
-	// exceed the model's relative error for the true best to survive
-	// pruning. Default 0.35 (predicted ≥35% slower).
-	MarginFrac float64
-	// MinSurvivors is the K-survivor valve: the top-K candidates of the
+	// fraction (log-space ratio, predicted ≥35% slower). The margin is the
+	// safety knob — it must exceed the model's relative error for the true
+	// best to survive pruning.
+	marginFrac = 0.35
+	// minSurvivors is the K-survivor valve: the top-K candidates of the
 	// predicted order are never pruned, whatever the margin says, so a
 	// maximally wrong model still leaves a measured choice between
-	// alternatives. Default 2.
-	MinSurvivors int
-	// MaxLevel bounds which backoff levels are trusted for pruning:
-	// candidates whose prediction (or whose best-rival's prediction) came
-	// from a level above it are ranked but never pruned. Default 1 — shape
-	// neighbours may prune, the global L2 class stats may only rank.
-	MaxLevel int
-}
-
-func (c PlannerConfig) marginFrac() float64 {
-	if c.MarginFrac > 0 {
-		return c.MarginFrac
-	}
-	return 0.35
-}
-
-func (c PlannerConfig) minSurvivors() int {
-	if c.MinSurvivors > 0 {
-		return c.MinSurvivors
-	}
-	return 2
-}
-
-func (c PlannerConfig) maxLevel() int {
-	if c.MaxLevel > 0 {
-		return c.MaxLevel
-	}
-	return 1
-}
+	// alternatives.
+	minSurvivors = 2
+	// maxPruneLevel bounds which backoff levels are trusted for pruning:
+	// candidates whose prediction (or whose best rival's prediction) came
+	// from a level above it are ranked but never pruned — shape neighbours
+	// may prune, the global L2 class stats may only rank.
+	maxPruneLevel = 1
+)
 
 // Planner adapts a Model to the adapt.Prior interface for one session: it
 // answers the explorer's plan queries from the model's predictions under
@@ -93,22 +36,23 @@ func (c PlannerConfig) maxLevel() int {
 type Planner struct {
 	model *Model
 	meta  Meta
-	cfg   PlannerConfig
+	prune bool
 }
 
-// NewPlanner binds a model to one session's metadata and mode.
-func NewPlanner(model *Model, meta Meta, cfg PlannerConfig) *Planner {
-	return &Planner{model: model, meta: meta, cfg: cfg}
+// NewPlanner binds a model to one session's metadata. With prune false the
+// planner only trains: plans are empty, so exploration order and candidate
+// set are exactly what they would be with no prior — the donor/teacher
+// configuration, and the always-safe default for sessions that must stay
+// comparable to prior-free baselines (the serve layer's default). With
+// prune true it ranks candidate visits by predicted cost and prunes those
+// predicted to be dominated beyond the margin, subject to the survivor
+// valve — the trials-to-freeze saver.
+func NewPlanner(model *Model, meta Meta, prune bool) *Planner {
+	return &Planner{model: model, meta: meta, prune: prune}
 }
-
-// Model returns the underlying shared model.
-func (p *Planner) Model() *Model { return p.model }
-
-// Meta returns the session metadata the planner predicts under.
-func (p *Planner) Meta() Meta { return p.meta }
 
 // Observe implements adapt.Prior: the explorer's recorded measurements
-// train the model incrementally, whatever the mode — so a cold session is
+// train the model incrementally, pruning or not — so a cold session is
 // automatically the next session's teacher, and post-drift re-measurements
 // refresh the prior while re-exploration is still running.
 func (p *Planner) Observe(ctx, varID, label string, us float64) {
@@ -120,12 +64,13 @@ func (p *Planner) Observe(ctx, varID, label string, us float64) {
 // re-measurements Observe is about to stream in.
 func (p *Planner) Invalidate() { p.model.Decay() }
 
-// Plan implements adapt.Prior: rank (and in ModeFull prune) varID's
-// candidates by predicted cost. Variables the model knows nothing about get
-// the zero plan (label order, nothing pruned). The context is unused — the
-// model's features are deliberately context-free (see TrainIndex).
+// Plan implements adapt.Prior: rank and prune varID's candidates by
+// predicted cost when the planner prunes; otherwise, and for variables the
+// model knows nothing about, the zero plan (label order, nothing pruned).
+// The context is unused — the model's features are deliberately
+// context-free (see TrainIndex).
 func (p *Planner) Plan(ctx, varID string, labels []string) adapt.PriorPlan {
-	if p.cfg.Mode == ModeTrain || len(labels) < 2 {
+	if !p.prune || len(labels) < 2 {
 		return adapt.PriorPlan{}
 	}
 	type cand struct {
@@ -162,30 +107,27 @@ func (p *Planner) Plan(ctx, varID string, labels []string) adapt.PriorPlan {
 	for i, c := range cands {
 		plan.Order[i] = c.idx
 	}
-	if p.cfg.Mode != ModeFull {
-		return plan
-	}
 	// Prune beyond the margin. Only predictions from trusted levels prune;
 	// the best trusted prediction is the reference. Unpredicted candidates
 	// are never pruned (no evidence either way), and the top-K of the
 	// predicted order survive unconditionally.
 	best := math.Inf(1)
 	for _, c := range cands {
-		if c.ok && c.level <= p.cfg.maxLevel() && c.pred < best {
+		if c.ok && c.level <= maxPruneLevel && c.pred < best {
 			best = c.pred
 		}
 	}
 	if math.IsInf(best, 1) {
 		return plan
 	}
-	margin := math.Log1p(p.cfg.marginFrac())
+	margin := math.Log1p(marginFrac)
 	pruned := make([]bool, len(labels))
 	any := false
 	for rank, c := range cands {
-		if rank < p.cfg.minSurvivors() {
+		if rank < minSurvivors {
 			continue
 		}
-		if c.ok && c.level <= p.cfg.maxLevel() && c.pred-best > margin {
+		if c.ok && c.level <= maxPruneLevel && c.pred-best > margin {
 			pruned[c.idx] = true
 			any = true
 		}

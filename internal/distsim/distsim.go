@@ -154,10 +154,6 @@ type Cluster struct {
 	Interconnect Interconnect
 	// Preset is the Astra adaptation level each worker wires with.
 	Preset enumerate.Preset
-	// PerOpCPUUs matches the single-GPU sessions.
-	PerOpCPUUs float64
-	// Seed offsets the simulated devices' RNG (worker ranks derive from it).
-	Seed uint64
 	// Prior optionally attaches a cost-model prior (internal/costmodel) to
 	// every session the cluster runs: exploration is re-ranked and pruned
 	// by predicted cost, and measurements train the model in return.
@@ -171,12 +167,8 @@ func (c *Cluster) preset() enumerate.Preset {
 	return c.Preset
 }
 
-func (c *Cluster) perOp() float64 {
-	if c.PerOpCPUUs == 0 {
-		return 2
-	}
-	return c.PerOpCPUUs
-}
+// perOpCPUUs is the dispatch cost per op, matching the single-GPU sessions.
+const perOpCPUUs = 2
 
 // build compiles the per-device replica for one worker count.
 func (c *Cluster) build(name string, globalBatch, n int) (*models.Model, error) {
@@ -214,12 +206,10 @@ func (c *Cluster) session(m *models.Model, n int, adaptComm bool, sched Schedule
 		comm.DefaultBucketKB = kb
 		comm.DefaultPlacement = sched.Placement
 	}
-	dev := gpusim.P100()
-	dev.Seed += c.Seed
 	return wire.NewSession(m, wire.SessionConfig{
-		Device:  dev,
+		Device:  gpusim.P100(),
 		Options: opts,
-		Runner:  wire.RunnerConfig{PerOpCPUUs: c.perOp()},
+		Runner:  wire.RunnerConfig{PerOpCPUUs: perOpCPUUs},
 		Comm:    comm,
 		Prior:   c.Prior,
 	}), nil
@@ -270,10 +260,8 @@ func (c *Cluster) run(m *models.Model, globalBatch, n int, adaptComm bool, sched
 	}
 	// Compute-only reference: same plan, same frozen bindings, comm off.
 	// One wired batch on a fresh device — no re-exploration needed.
-	dev := gpusim.P100()
-	dev.Seed += c.Seed
-	solo := wire.NewRunner(s.Plan, gpusim.NewDevice(dev), wire.RunnerConfig{
-		PerOpCPUUs: c.perOp(),
+	solo := wire.NewRunner(s.Plan, gpusim.NewDevice(gpusim.P100()), wire.RunnerConfig{
+		PerOpCPUUs: perOpCPUUs,
 		Profile:    true,
 	})
 	res.PerDeviceUs = solo.RunBatch(nil, nil).TotalUs

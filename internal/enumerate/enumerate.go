@@ -26,10 +26,6 @@ type Options struct {
 	StreamAdapt bool // adapt multi-stream assignment
 	AllocAdapt  bool // adapt memory-allocation strategy
 
-	// ElementwiseFusion JIT-fuses pointwise chains (§5.3); always on in
-	// the paper's prototype.
-	ElementwiseFusion bool
-
 	// CommAdapt adds the data-parallel communication dimension (§3.4,
 	// §6.7): gradient-bucket size and comm-stream placement become
 	// adaptive variables. It only takes effect with Workers >= 2.
@@ -43,16 +39,6 @@ type Options struct {
 	// SuperEpochUs is the barrier-exploration granularity (§4.5.3),
 	// "a few milliseconds worth of computation".
 	SuperEpochUs float64
-	// FlopsPerUs converts static flops to estimated device time for
-	// super-epoch carving.
-	FlopsPerUs float64
-	// MaxGroup bounds fusion group size (§4.8: diminishing returns).
-	MaxGroup int
-	// MaxAllocStrategies bounds the allocation fork width.
-	MaxAllocStrategies int
-	// MaxEpochTuples bounds the exhaustive product within one epoch;
-	// classes beyond it keep the static round-robin stream assignment.
-	MaxEpochTuples int
 
 	// Preset records which named preset produced these options (set by
 	// PresetOptions, empty for hand-assembled options). It changes no
@@ -75,9 +61,23 @@ const (
 // DefaultStreams is the stream count of options that leave NumStreams 0.
 const DefaultStreams = 2
 
+const (
+	// flopsPerUs converts static flops to estimated device time for
+	// super-epoch carving: the achieved (not peak) throughput of the
+	// long-tail models the system targets, which underutilize the GPU.
+	flopsPerUs = 0.5e6
+	// maxGroup bounds fusion group size (§4.8: diminishing returns).
+	maxGroup = 16
+	// maxAllocStrategies bounds the allocation fork width.
+	maxAllocStrategies = 6
+	// maxEpochTuples bounds the exhaustive product within one epoch;
+	// classes beyond it keep the static round-robin stream assignment.
+	maxEpochTuples = 64
+)
+
 // PresetOptions returns the options for a named preset.
 func PresetOptions(p Preset) Options {
-	o := Options{FusionAdapt: true, ElementwiseFusion: true, Preset: string(p)}
+	o := Options{FusionAdapt: true, Preset: string(p)}
 	switch p {
 	case PresetF:
 	case PresetFK:
@@ -101,20 +101,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SuperEpochUs == 0 {
 		o.SuperEpochUs = 2000
-	}
-	if o.FlopsPerUs == 0 {
-		// Achieved (not peak) throughput of the long-tail models the
-		// system targets: they underutilize the GPU, which is the point.
-		o.FlopsPerUs = 0.5e6
-	}
-	if o.MaxGroup == 0 {
-		o.MaxGroup = 16
-	}
-	if o.MaxAllocStrategies == 0 {
-		o.MaxAllocStrategies = 6
-	}
-	if o.MaxEpochTuples == 0 {
-		o.MaxEpochTuples = 64
 	}
 	return o
 }
@@ -157,12 +143,10 @@ type Plan struct {
 func Enumerate(g *graph.Graph, opts Options) *Plan {
 	opts = opts.withDefaults()
 	ub := &unitBuilder{
-		g:         g,
-		cons:      g.Consumers(),
-		views:     map[*graph.Node]bool{},
-		inGroup:   map[*graph.Node]*FusionGroup{},
-		maxGroup:  opts.MaxGroup,
-		maxLadder: 4 * opts.MaxGroup,
+		g:       g,
+		cons:    g.Consumers(),
+		views:   map[*graph.Node]bool{},
+		inGroup: map[*graph.Node]*FusionGroup{},
 	}
 	// Candidates from all three miners compete in one greedy pass, largest
 	// first, so a 4-gate shared-argument group beats the per-gate 2-GEMM
@@ -177,15 +161,15 @@ func Enumerate(g *graph.Graph, opts Options) *Plan {
 		ub.tryClaim(c)
 	}
 	requests := ub.requests()
-	units := ub.buildUnits(opts.ElementwiseFusion)
+	units := ub.buildUnits()
 
-	planner := &memory.Planner{MaxStrategies: opts.MaxAllocStrategies}
+	planner := &memory.Planner{MaxStrategies: maxAllocStrategies}
 	allocs := planner.Plan(g.Values, requests)
 	if !opts.AllocAdapt {
 		allocs = allocs[:1] // the greedy default layout
 	}
 
-	supers := partition(units, opts.SuperEpochUs, opts.FlopsPerUs)
+	supers := partition(units, opts.SuperEpochUs)
 
 	p := &Plan{
 		G:          g,
@@ -300,7 +284,7 @@ func (p *Plan) buildTree() {
 					// small; this is the safety valve for wide backward
 					// levels). Classes beyond the cap are pinned to the
 					// static round-robin assignment.
-					if product*(len(cls.Units)+1) > p.Opts.MaxEpochTuples {
+					if product*(len(cls.Units)+1) > maxEpochTuples {
 						continue
 					}
 					product *= len(cls.Units) + 1

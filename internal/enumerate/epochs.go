@@ -38,7 +38,7 @@ type Class struct {
 // re-sorts units into (level, node-id) order: fusion groups can span nodes
 // whose consumers sit between the members, so raw emission order is not
 // topological at unit granularity.
-func partition(units []*Unit, superEpochUs float64, flopsPerUs float64) []*SuperEpoch {
+func partition(units []*Unit, superEpochUs float64) []*SuperEpoch {
 	level := map[*Unit]int{}
 	var lvl func(u *Unit) int
 	lvl = func(u *Unit) int {

@@ -94,15 +94,17 @@ func (u *Unit) Flops() int64 {
 
 // unitBuilder constructs the unit graph from a training graph.
 type unitBuilder struct {
-	g         *graph.Graph
-	cons      map[*graph.Value][]*graph.Node
-	views     map[*graph.Node]bool // transposes folded into GEMM op flags
-	inGroup   map[*graph.Node]*FusionGroup
-	groups    []*FusionGroup
-	groupSeq  int
-	maxGroup  int
-	maxLadder int // ladders may be larger: they absorb accumulator adds
+	g        *graph.Graph
+	cons     map[*graph.Value][]*graph.Node
+	views    map[*graph.Node]bool // transposes folded into GEMM op flags
+	inGroup  map[*graph.Node]*FusionGroup
+	groups   []*FusionGroup
+	groupSeq int
 }
+
+// maxLadder bounds ladder size; ladders may be larger than other groups
+// because they absorb accumulator adds.
+const maxLadder = 4 * maxGroup
 
 // operandRoot sees through view transposes: mm(g, t(W)) reads W directly
 // with a transpose flag, so contiguity constraints apply to W itself.
@@ -279,7 +281,7 @@ func (ub *unitBuilder) tryClaim(c candidate) {
 				return
 			}
 		}
-		if len(c.gemms) < 2 || len(c.gemms) > ub.maxLadder {
+		if len(c.gemms) < 2 || len(c.gemms) > maxLadder {
 			return
 		}
 		gemms := append([]*graph.Node{}, c.gemms...)
@@ -296,8 +298,8 @@ func (ub *unitBuilder) tryClaim(c candidate) {
 	if len(free) < 2 {
 		return
 	}
-	if len(free) > ub.maxGroup {
-		free = free[:ub.maxGroup] // §4.8: static bound on group size
+	if len(free) > maxGroup {
+		free = free[:maxGroup] // §4.8: static bound on group size
 	}
 	independent := ub.independentSubset(free)
 	if len(independent) < 2 {
@@ -371,7 +373,7 @@ func (ub *unitBuilder) collectLadderCandidates() []candidate {
 				continue
 			}
 		}
-		if len(gemms) > ub.maxLadder {
+		if len(gemms) > maxLadder {
 			continue
 		}
 		cands = append(cands, candidate{kind: Ladder, gemms: gemms, adds: adds})
@@ -576,7 +578,7 @@ func (g *FusionGroup) dropOperand(v *graph.Value, ub *unitBuilder) {
 // buildUnits assembles the final unit list: GEMM groups, JIT-fused
 // elementwise chains, and singles for everything else; then wires unit
 // dependencies.
-func (ub *unitBuilder) buildUnits(ewFusion bool) []*Unit {
+func (ub *unitBuilder) buildUnits() []*Unit {
 	unitOf := map[*graph.Node]*Unit{}
 	var units []*Unit
 	emitted := map[*FusionGroup]bool{}
@@ -591,26 +593,24 @@ func (ub *unitBuilder) buildUnits(ewFusion bool) []*Unit {
 	// provenance bucket, not claimed by a GEMM group.
 	chainNext := map[*graph.Node]*graph.Node{}
 	chainHasPrev := map[*graph.Node]bool{}
-	if ewFusion {
-		for _, n := range ub.g.Nodes {
-			if !n.Op.IsElementwise() || ub.inGroup[n] != nil {
-				continue
-			}
-			if len(ub.cons[n.Out]) != 1 {
-				continue
-			}
-			c := ub.cons[n.Out][0]
-			if !c.Op.IsElementwise() || ub.inGroup[c] != nil || provKey(c) != provKey(n) {
-				continue
-			}
-			if chainHasPrev[c] {
-				// c already continues another chain (it has two
-				// elementwise producers); it can extend only one.
-				continue
-			}
-			chainNext[n] = c
-			chainHasPrev[c] = true
+	for _, n := range ub.g.Nodes {
+		if !n.Op.IsElementwise() || ub.inGroup[n] != nil {
+			continue
 		}
+		if len(ub.cons[n.Out]) != 1 {
+			continue
+		}
+		c := ub.cons[n.Out][0]
+		if !c.Op.IsElementwise() || ub.inGroup[c] != nil || provKey(c) != provKey(n) {
+			continue
+		}
+		if chainHasPrev[c] {
+			// c already continues another chain (it has two
+			// elementwise producers); it can extend only one.
+			continue
+		}
+		chainNext[n] = c
+		chainHasPrev[c] = true
 	}
 
 	// A multi-node unit becomes schedulable only once its last node's

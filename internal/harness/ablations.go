@@ -121,9 +121,7 @@ func AblationAutoboost(o Options) (*Table, error) {
 		dev := gpusim.P100()
 		dev.Autoboost = v.boost
 		ix := profile.NewIndex()
-		if v.samples > 1 {
-			ix.SetPolicy(profile.FixedSamples(v.samples))
-		}
+		ix.SetSamples(v.samples)
 		s := wire.NewSession(m, wire.SessionConfig{
 			Device:  dev,
 			Options: enumerate.PresetOptions(enumerate.PresetFKS),

@@ -23,12 +23,12 @@ type CostModelComparison struct {
 	Model   string
 	Fabric  string
 	Workers int
-	// DonorTrials is what the batch-32 teacher session spent (ModeTrain:
+	// DonorTrials is what the batch-32 teacher session spent (train-only:
 	// behaviour identical to a prior-free run, it only feeds the model).
 	DonorTrials int
 	// ColdTrials/ColdUs are the prior-free target exploration; PriorTrials/
 	// PriorUs the same target exploration seeded with the donor-trained
-	// model (ModeFull: rank + margin prune).
+	// model (rank + margin prune).
 	ColdTrials  int
 	ColdUs      float64
 	PriorTrials int
@@ -63,8 +63,8 @@ func (c CostModelComparison) GapPct() float64 {
 	return 100 * (c.PriorUs/c.ExhaustiveUs - 1)
 }
 
-// CompareCostModel runs one cell. donorBatch trains the model (ModeTrain),
-// globalBatch is explored cold and then seeded (ModeFull); the two target
+// CompareCostModel runs one cell. donorBatch trains the model (train-only),
+// globalBatch is explored cold and then seeded (rank + prune); the two target
 // runs must freeze identical bindings — the K-survivor valve and margin
 // guarantee the measured best is never pruned away — and the seeded result
 // must stay within 0.1% of both the cold result and the exhaustive sweep.
@@ -78,12 +78,12 @@ func CompareCostModel(model string, fabric distsim.Interconnect, globalBatch, do
 		}
 	}
 
-	// Donor: a neighbour-shape session teaches the model. ModeTrain plans
-	// nothing, so this is exactly a cold exploration that happens to be
+	// Donor: a neighbour-shape session teaches the model. A train-only
+	// planner plans nothing, so this is exactly a cold exploration that happens to be
 	// observed.
 	donor := &distsim.Cluster{
 		Interconnect: fabric, Preset: enumerate.PresetFK,
-		Prior: costmodel.NewPlanner(shared, meta(donorBatch), costmodel.PlannerConfig{Mode: costmodel.ModeTrain}),
+		Prior: costmodel.NewPlanner(shared, meta(donorBatch), false),
 	}
 	dres, err := donor.Step(model, donorBatch, workers)
 	if err != nil {
@@ -104,7 +104,7 @@ func CompareCostModel(model string, fabric distsim.Interconnect, globalBatch, do
 	// L1 neighbour-shape backoff.
 	seeded := &distsim.Cluster{
 		Interconnect: fabric, Preset: enumerate.PresetFK,
-		Prior: costmodel.NewPlanner(shared, meta(globalBatch), costmodel.PlannerConfig{Mode: costmodel.ModeFull}),
+		Prior: costmodel.NewPlanner(shared, meta(globalBatch), true),
 	}
 	pres, err := seeded.Step(model, globalBatch, workers)
 	if err != nil {

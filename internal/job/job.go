@@ -104,9 +104,9 @@ type Shape struct {
 	Fabric  string
 }
 
-// Normalize validates the shape's names and worker count and applies the
-// shape's own defaults: at two or more workers the fabric defaults to
-// pcie3, and one worker has no fabric. Error messages name the valid
+// Normalize validates the shape's names, batch, stream and worker counts
+// and applies the shape's own defaults: at two or more workers the fabric
+// defaults to pcie3, and one worker has no fabric. Error messages name the valid
 // choices and carry no package prefix, so each front end can frame them.
 func (s Shape) Normalize() (Shape, error) {
 	if _, ok := models.Get(s.Model); !ok {
@@ -115,8 +115,14 @@ func (s Shape) Normalize() (Shape, error) {
 	if s.Scale != Default && s.Scale != Tiny {
 		return Shape{}, fmt.Errorf("unknown scale %q (valid scales: %s, %s)", s.Scale, Default, Tiny)
 	}
+	if s.Batch < 1 {
+		return Shape{}, fmt.Errorf("batch %d out of range (valid: 1 or more)", s.Batch)
+	}
 	if _, ok := Preset(s.Level); !ok {
 		return Shape{}, fmt.Errorf("unknown level %q (valid levels: %s)", s.Level, strings.Join(Levels(), ", "))
+	}
+	if s.Streams < 0 {
+		return Shape{}, fmt.Errorf("streams %d out of range (valid: 0 or more, 0 = preset default)", s.Streams)
 	}
 	if s.Workers < 1 {
 		return Shape{}, fmt.Errorf("workers %d out of range (valid: 1 or more)", s.Workers)

@@ -47,6 +47,9 @@ func TestNormalizeRejectsWithValidChoices(t *testing.T) {
 		{"model", func(s *Shape) { s.Model = "resnet50" }, `unknown model "resnet50" (valid models: attlstm, gnmt, milstm, rhn, scrnn, stackedlstm, sublstm)`},
 		{"scale", func(s *Shape) { s.Scale = "" }, `unknown scale "" (valid scales: default, tiny)`},
 		{"level", func(s *Shape) { s.Level = "FX" }, `unknown level "FX" (valid levels: All, F, FK, FKS)`},
+		{"zero batch", func(s *Shape) { s.Batch = 0 }, "batch 0 out of range (valid: 1 or more)"},
+		{"negative batch", func(s *Shape) { s.Batch = -2 }, "batch -2 out of range (valid: 1 or more)"},
+		{"streams", func(s *Shape) { s.Streams = -1 }, "streams -1 out of range (valid: 0 or more, 0 = preset default)"},
 		{"workers", func(s *Shape) { s.Workers = 0 }, "workers 0 out of range (valid: 1 or more)"},
 		{"fabric", func(s *Shape) { s.Fabric = "infiniband" }, `unknown fabric "infiniband" (valid fabrics: nvlink1, pcie3)`},
 		{"idle fabric", func(s *Shape) { s.Workers, s.Fabric = 1, "infiniband" }, `unknown fabric "infiniband"`},

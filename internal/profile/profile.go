@@ -12,9 +12,9 @@
 // The paper's §4.1 "one measurement suffices" assumption holds only with
 // the GPU clock pinned. To stay robust on a noisy device the index stores
 // multi-sample statistics per key (count, mean, variance via Welford's
-// algorithm) and a SamplePolicy decides when a key counts as measured —
-// the default FixedSamples(1) policy reproduces the paper's single-sample
-// behaviour exactly.
+// algorithm) and a per-index sample count decides when a key counts as
+// measured — the default of one sample reproduces the paper's
+// single-sample behaviour exactly.
 package profile
 
 import (
@@ -100,70 +100,6 @@ func (s Stats) CIHalfWidthUs() float64 {
 	return 1.96 * s.StdDev() / math.Sqrt(float64(s.Count))
 }
 
-// SamplePolicy decides when a key's statistics suffice to treat the key as
-// measured. Has reports true — and Record stops accepting samples — only
-// once the policy is satisfied, so the explorer keeps a variable recording
-// until enough evidence accumulates.
-type SamplePolicy interface {
-	Satisfied(s Stats) bool
-	String() string
-}
-
-// FixedSamples is satisfied after N samples. FixedSamples(1) is the
-// paper's §4.1 single-measurement regime and the default policy.
-type FixedSamples int
-
-// Satisfied implements SamplePolicy.
-func (n FixedSamples) Satisfied(s Stats) bool {
-	need := int(n)
-	if need < 1 {
-		need = 1
-	}
-	return s.Count >= need
-}
-
-// String names the policy for reports.
-func (n FixedSamples) String() string { return fmt.Sprintf("fixed(%d)", int(n)) }
-
-// CIPolicy is satisfied once the 95% confidence interval of the mean is
-// within RelWidth of the mean — tight keys converge fast, noisy keys keep
-// sampling — bounded below by MinSamples (default 2) and above by
-// MaxSamples (default 8).
-type CIPolicy struct {
-	// RelWidth is the target CI half-width as a fraction of the mean.
-	RelWidth float64
-	// MinSamples and MaxSamples bound the per-key sample count.
-	MinSamples int
-	MaxSamples int
-}
-
-// Satisfied implements SamplePolicy.
-func (p CIPolicy) Satisfied(s Stats) bool {
-	min := p.MinSamples
-	if min < 2 {
-		min = 2
-	}
-	if s.Count < min {
-		return false
-	}
-	max := p.MaxSamples
-	if max <= 0 {
-		max = 8
-	}
-	if s.Count >= max {
-		return true
-	}
-	if s.Mean == 0 {
-		return true
-	}
-	return s.CIHalfWidthUs() <= p.RelWidth*math.Abs(s.Mean)
-}
-
-// String names the policy for reports.
-func (p CIPolicy) String() string {
-	return fmt.Sprintf("ci(rel=%.2f,min=%d,max=%d)", p.RelWidth, p.MinSamples, p.MaxSamples)
-}
-
 // interned is the process-wide canonical-string table: every key stored in
 // any index goes through it, so concurrent episodes measuring the same
 // (context, variable, choice) signatures share one backing string instead
@@ -207,7 +143,7 @@ type shard struct {
 // while each episode's own lookups stay exact.
 type Index struct {
 	shards   [numShards]shard
-	pol      atomic.Pointer[polBox]
+	need     atomic.Int64 // samples a key needs to count as measured (below 1 means 1)
 	loadMode atomic.Int32 // LoadMode Load obeys (default LoadReplace)
 	hits     atomic.Int64
 	misses   atomic.Int64
@@ -221,9 +157,6 @@ type Index struct {
 	mSize    *obs.Gauge
 	mSamples *obs.Counter
 }
-
-// polBox wraps the policy interface so it can live in an atomic.Pointer.
-type polBox struct{ p SamplePolicy }
 
 // shardFor hashes a key onto its stripe.
 //
@@ -243,8 +176,7 @@ func (ix *Index) Instrument(reg *obs.Registry) {
 	ix.mSize.Set(float64(ix.size.Load()))
 }
 
-// NewIndex returns an empty profile index with the default single-sample
-// policy.
+// NewIndex returns an empty profile index that needs one sample per key.
 func NewIndex() *Index {
 	ix := &Index{}
 	for i := range ix.shards {
@@ -253,41 +185,33 @@ func NewIndex() *Index {
 	return ix
 }
 
-// SetPolicy installs the sample policy (nil restores the default
-// FixedSamples(1)). Set it before exploration starts: the policy is part of
-// what "measured" means.
-func (ix *Index) SetPolicy(p SamplePolicy) {
-	if p == nil {
-		ix.pol.Store(nil)
-		return
-	}
-	ix.pol.Store(&polBox{p: p})
-}
+// SetSamples sets how many samples a key needs before it counts as
+// measured; below 1 means 1, the paper's §4.1 single-measurement regime
+// and the default. Has reports true — and Record stops accepting samples —
+// only once a key has them, so the explorer keeps a variable recording
+// until enough evidence accumulates. Set it before exploration starts: it
+// is part of what "measured" means.
+func (ix *Index) SetSamples(n int) { ix.need.Store(int64(n)) }
 
-// Policy returns the active sample policy.
-func (ix *Index) Policy() SamplePolicy {
-	if b := ix.pol.Load(); b != nil {
-		return b.p
-	}
-	return FixedSamples(1)
-}
+// measured reports whether st has the samples a key needs. A stored key
+// has at least one, which is all a need below 1 asks.
+//
+//astra:hotpath
+func (ix *Index) measured(st Stats) bool { return int64(st.Count) >= ix.need.Load() }
 
 // SetTrial tags subsequent recordings with the current exploration trial.
 func (ix *Index) SetTrial(t int) { ix.trial.Store(int64(t)) }
 
-// Record folds a sample into the key's statistics. Once the sample policy
-// is satisfied further samples are ignored: under the default
-// FixedSamples(1) policy this is exactly the paper's first-measurement-wins
-// rule (§4.1 — mini-batch predictability makes one measurement suffice).
+// Record folds a sample into the key's statistics. Once the key has the
+// samples it needs further samples are ignored: at the default of one this
+// is exactly the paper's first-measurement-wins rule (§4.1 — mini-batch predictability makes one measurement suffice).
 //
 //astra:hotpath
 func (ix *Index) Record(k Key, us float64) {
-	// lint:ok escape inlined Policy: the default FixedSamples(1) is a small integer, boxed without allocating
-	pol := ix.Policy()
 	sh := ix.shardFor(k)
 	sh.mu.Lock()
 	st, ok := sh.m[k]
-	if ok && pol.Satisfied(st) {
+	if ok && ix.measured(st) {
 		sh.mu.Unlock()
 		return
 	}
@@ -321,14 +245,13 @@ func (ix *Index) get(k Key) (Stats, bool) {
 	return st, ok
 }
 
-// Has reports whether the key counts as measured — present and with enough
-// samples to satisfy the policy. It counts toward the hit/miss statistics.
+// Has reports whether the key counts as measured — present and with the
+// samples it needs. It counts toward the hit/miss statistics.
 //
 //astra:hotpath
 func (ix *Index) Has(k Key) bool {
 	st, ok := ix.get(k)
-	// lint:ok escape inlined Policy: the default FixedSamples(1) is a small integer, boxed without allocating
-	measured := ok && ix.Policy().Satisfied(st)
+	measured := ok && ix.measured(st)
 	if measured {
 		ix.hits.Add(1)
 		if ix.mHits != nil {
@@ -343,8 +266,8 @@ func (ix *Index) Has(k Key) bool {
 	return measured
 }
 
-// Lookup returns the point-estimate view of k (the sample mean), present or
-// not yet policy-satisfied alike.
+// Lookup returns the point-estimate view of k (the sample mean), measured
+// or still short of samples alike.
 func (ix *Index) Lookup(k Key) (Measurement, bool) {
 	st, ok := ix.get(k)
 	if !ok {

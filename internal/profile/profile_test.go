@@ -176,7 +176,7 @@ func TestKeyParts(t *testing.T) {
 
 func TestMultiSampleStats(t *testing.T) {
 	ix := NewIndex()
-	ix.SetPolicy(FixedSamples(3))
+	ix.SetSamples(3)
 	k := K("", "v", "a")
 	for i, us := range []float64{10, 12, 14} {
 		if ix.Has(k) {
@@ -197,7 +197,7 @@ func TestMultiSampleStats(t *testing.T) {
 	if st.CIHalfWidthUs() <= 0 {
 		t.Fatal("no confidence interval with 3 samples")
 	}
-	// Policy satisfied: further samples are ignored (first-N wins).
+	// Enough samples: further samples are ignored (first-N wins).
 	ix.Record(k, 1000)
 	if st, _ := ix.LookupStats(k); st.Count != 3 || st.Mean != 12 {
 		t.Fatalf("post-satisfaction sample accepted: %+v", st)
@@ -208,29 +208,15 @@ func TestMultiSampleStats(t *testing.T) {
 	if ix.SampleCount(k) != 3 || ix.SampleCount(K("", "v", "b")) != 0 {
 		t.Fatal("SampleCount wrong")
 	}
-}
-
-func TestCIPolicy(t *testing.T) {
-	p := CIPolicy{RelWidth: 0.05, MinSamples: 2, MaxSamples: 6}
-	// Identical samples: CI collapses to zero at MinSamples.
-	if p.Satisfied(Stats{Count: 1, Mean: 10}) {
-		t.Fatal("satisfied below MinSamples")
-	}
-	tight := Stats{Count: 2, Mean: 10, M2: 0}
-	if !p.Satisfied(tight) {
-		t.Fatal("zero-variance stats not satisfied at MinSamples")
-	}
-	// Wildly noisy samples: unsatisfied until MaxSamples caps it.
-	noisy := Stats{Count: 3, Mean: 10, M2: 200}
-	if p.Satisfied(noisy) {
-		t.Fatal("noisy stats satisfied too early")
-	}
-	noisy.Count = 6
-	if !p.Satisfied(noisy) {
-		t.Fatal("MaxSamples cap not applied")
-	}
-	if FixedSamples(2).String() == "" || p.String() == "" {
-		t.Fatal("policies must name themselves")
+	// A count below 1 means the default single sample.
+	for _, n := range []int{0, -2} {
+		ix := NewIndex()
+		ix.SetSamples(n)
+		ix.Record(k, 10)
+		ix.Record(k, 1000)
+		if st, _ := ix.LookupStats(k); !ix.Has(k) || st.Count != 1 {
+			t.Fatalf("SetSamples(%d): measured %v after %d samples, want one", n, ix.Has(k), st.Count)
+		}
 	}
 }
 
@@ -239,7 +225,7 @@ func TestBestBreaksNearTiesByCI(t *testing.T) {
 	// consistent 10.0 ± tiny. The CIs overlap, so the lower upper-bound
 	// (b) must win despite a's lower mean.
 	ix := NewIndex()
-	ix.SetPolicy(FixedSamples(3))
+	ix.SetSamples(3)
 	for _, us := range []float64{4, 9.8, 15.9} { // mean 9.9, wide CI
 		ix.Record(K("", "v", "a"), us)
 	}
@@ -264,7 +250,7 @@ func TestBestBreaksNearTiesByCI(t *testing.T) {
 
 func TestVersionedSnapshotRoundTrip(t *testing.T) {
 	ix := NewIndex()
-	ix.SetPolicy(FixedSamples(3))
+	ix.SetSamples(3)
 	ix.SetTrial(5)
 	k := K("ctx", "v", "a")
 	for _, us := range []float64{10, 12, 14} {
@@ -278,7 +264,7 @@ func TestVersionedSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("snapshot not versioned: %s", buf.String())
 	}
 	ix2 := NewIndex()
-	ix2.SetPolicy(FixedSamples(3))
+	ix2.SetSamples(3)
 	if err := ix2.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +302,7 @@ func TestLegacySingleSampleSnapshotRejected(t *testing.T) {
 
 func TestLoadResetsSampleStatistics(t *testing.T) {
 	ix := NewIndex()
-	ix.SetPolicy(FixedSamples(2))
+	ix.SetSamples(2)
 	ix.Record(K("", "v", "a"), 1)
 	ix.Record(K("", "v", "a"), 2)
 	if ix.Samples() != 2 {

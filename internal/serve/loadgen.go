@@ -21,12 +21,12 @@ type LoadConfig struct {
 	// Mix is the job-shape rotation (DefaultMix() when empty). Tenant
 	// names in the mix are overwritten with the generated tenant id.
 	Mix []Job
-	// GatePct is the warm-result acceptance gate: a warm-started job whose
-	// wired time differs from the signature's cold baseline by more than
-	// this percentage counts as a GateViolation (default 0.1, the serving
-	// guarantee).
-	GatePct float64
 }
+
+// warmGate is the warm-result acceptance gate, the serving guarantee: a
+// warm-started job whose wired time differs from the signature's cold
+// baseline by more than this percentage counts as a GateViolation.
+const warmGate = 0.1
 
 func (c LoadConfig) withDefaults() LoadConfig {
 	if c.Tenants <= 0 {
@@ -37,9 +37,6 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	}
 	if len(c.Mix) == 0 {
 		c.Mix = DefaultMix()
-	}
-	if c.GatePct <= 0 {
-		c.GatePct = 0.1
 	}
 	return c
 }
@@ -80,7 +77,7 @@ type LoadReport struct {
 	WarmMisses int     `json:"warm_misses"`
 	HitRate    float64 `json:"hit_rate"`
 	// MaxWarmDeltaPct is the worst warm-vs-cold wired-time deviation seen;
-	// GateViolations counts warm results beyond GatePct.
+	// GateViolations counts warm results beyond the 0.1% warm gate.
 	MaxWarmDeltaPct float64 `json:"max_warm_delta_pct"`
 	GateViolations  int     `json:"gate_violations"`
 	// Trials sums exploration mini-batches across completions; SimTimeUs
@@ -135,7 +132,7 @@ func RunLoad(ctx context.Context, sub Submitter, cfg LoadConfig) (*LoadReport, e
 						if res.WarmDeltaPct > rep.MaxWarmDeltaPct {
 							rep.MaxWarmDeltaPct = res.WarmDeltaPct
 						}
-						if res.WarmDeltaPct > cfg.GatePct {
+						if res.WarmDeltaPct > warmGate {
 							rep.GateViolations++
 						}
 					} else {

@@ -122,8 +122,8 @@ type Result struct {
 	Workers int `json:"workers"`
 	// Prior echoes whether the job opted into cost-model guidance; the
 	// counters below score the model's plans over this session (see
-	// docs/COSTMODEL.md). They are zero for default jobs: ModeTrain never
-	// plans, it only learns.
+	// docs/COSTMODEL.md). They are zero for default jobs: their planner
+	// never plans, it only learns.
 	Prior       bool `json:"prior,omitempty"`
 	PriorHits   int  `json:"prior_hits,omitempty"`
 	PriorMisses int  `json:"prior_misses,omitempty"`
@@ -378,17 +378,14 @@ func (s *Server) Submit(ctx context.Context, job Job, emit func(Event)) (*Result
 // explore with per-trial events, then run the wired steps.
 func (s *Server) runSession(ctx context.Context, j Job, sig string, emit func(Event)) (*sessionOutcome, error) {
 	shape := j.Shape()
-	// Every session trains its tenant's cost model (ModeTrain plans nothing,
-	// so default jobs behave exactly as before this model existed); a job
-	// submitted with Prior lets the model rank and margin-prune candidates.
-	mode := costmodel.ModeTrain
-	if j.Prior {
-		mode = costmodel.ModeFull
-	}
+	// Every session trains its tenant's cost model (a train-only planner
+	// plans nothing, so default jobs behave exactly as before this model
+	// existed); a job submitted with Prior lets the model rank and
+	// margin-prune candidates.
 	cfg := shape.SessionConfig()
 	cfg.Index = s.fleet
 	cfg.ProfileContext = sig
-	cfg.Prior = costmodel.NewPlanner(s.priorModel(j.Tenant), j.costMeta(), costmodel.PlannerConfig{Mode: mode})
+	cfg.Prior = costmodel.NewPlanner(s.priorModel(j.Tenant), j.costMeta(), j.Prior)
 	sess := wire.NewSession(shape.Build(), cfg)
 	out := &sessionOutcome{}
 	for !sess.Done() {

@@ -368,7 +368,7 @@ func TestPriorGuidedJobs(t *testing.T) {
 
 // TestDefaultJobsUnchangedByTenantModel: a default (non-Prior) job must be
 // byte-identical whether or not its tenant has a trained cost model —
-// ModeTrain only learns, it never plans, so the fleet's exact-reuse
+// its train-only planner only learns, it never plans, so the fleet's exact-reuse
 // guarantees hold with no opt-in.
 func TestDefaultJobsUnchangedByTenantModel(t *testing.T) {
 	target := Job{Tenant: "alice", Model: "scrnn", Level: "FK", Batch: 8}

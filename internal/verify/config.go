@@ -322,7 +322,7 @@ func SweepConfigs(p *enumerate.Plan, spec Spec) *Report {
 	}
 
 	// Stream assignment: the full Exhaustive tuple product within each
-	// epoch (bounded by MaxEpochTuples at enumeration time), other epochs
+	// epoch (bounded by the enumerator's per-epoch tuple cap), other epochs
 	// at their defaults — matching the explorer's one-epoch-at-a-time walk.
 	for _, se := range p.Supers {
 		for _, ep := range se.Epochs {

@@ -246,17 +246,20 @@ func TestConvergenceTimelineCoversAllVars(t *testing.T) {
 }
 
 func TestTraceDetailCap(t *testing.T) {
-	// Kernel-level spans are bounded by TraceDetailBatches so paper-scale
-	// sessions stay Perfetto-loadable; trial spans keep covering every
-	// batch regardless.
+	// Kernel-level spans are bounded to traceDetailBatches exploration
+	// batches so paper-scale sessions stay Perfetto-loadable; trial spans
+	// keep covering every batch regardless.
 	s, tel, _ := instrumentedSession(t, "sublstm")
-	s.TraceDetailBatches = 2
 	cutoff := 0.0
-	for i := 0; i < 2; i++ {
+	for i := 0; i < traceDetailBatches; i++ {
 		cutoff += s.Step().TotalUs // detail batches
 	}
-	for i := 0; i < 3 && !s.Done(); i++ {
+	past := 0
+	for ; past < 3 && !s.Done(); past++ {
 		s.Step() // past the cap: no kernel spans
+	}
+	if past == 0 {
+		t.Fatal("exploration ended within the detail cap; nothing past it to check")
 	}
 	kernels, trialSpans := 0, 0
 	for _, e := range tel.Trace.Events() {

@@ -60,14 +60,8 @@ type Session struct {
 	// Obs, when attached via Instrument, receives spans, metrics and trial
 	// events for every batch.
 	Obs *obs.Telemetry
-	// TraceDetailBatches bounds how many exploration batches and how many
-	// wired batches export kernel-level detail (device spans, launch-queue
-	// spans, per-unit dispatch spans). Trial spans, counter tracks, metrics
-	// and event-log records always cover the whole session. 0 means
-	// DefaultTraceDetailBatches; negative means unlimited (multi-hundred-MB
-	// traces for paper-scale sessions).
-	TraceDetailBatches int
-	wiredBatches       int
+	// wiredBatches counts wired batches, for the trace-detail cap.
+	wiredBatches int
 
 	// VerifyConfigs counts the programs the plan verifier checked this
 	// session (the schedule-unit graph and allocation strategies are
@@ -80,8 +74,13 @@ type Session struct {
 	verifyErr      *verify.Error
 	stepVerify     []string // findings surfaced by the current Step
 
-	// Drift configures the wired-phase watchdog; the zero value disables it.
-	Drift DriftConfig
+	// Watchdog turns on the wired-phase drift watchdog (§4.6: hardware
+	// drift — thermal throttling, clock autoboost decay — invalidates
+	// frozen choices). It tracks an EWMA of wired batch times against the
+	// expectation frozen at wiring time; sustained relative deviation
+	// thaws the explorer so exploration resumes in-session,
+	// work-conserving as ever.
+	Watchdog bool
 	// DriftEvents counts watchdog firings (thaw + re-explore) this session.
 	DriftEvents   int
 	driftExpectUs float64 // frozen expectation: first wired batch after (re-)wiring
@@ -93,49 +92,22 @@ type Session struct {
 	meta obs.SessionMeta
 }
 
-// DriftConfig tunes the wired-phase drift watchdog (§4.6: hardware drift —
-// thermal throttling, clock autoboost decay — invalidates frozen choices).
-// The watchdog tracks an EWMA of wired batch times against the expectation
-// frozen at wiring time; sustained relative deviation thaws the explorer so
-// exploration resumes in-session, work-conserving as ever.
-type DriftConfig struct {
-	// Enabled turns the watchdog on.
-	Enabled bool
-	// Alpha is the EWMA smoothing factor (0 < Alpha <= 1); default 0.25.
-	Alpha float64
-	// Tolerance is the relative deviation of the EWMA from the wired
-	// expectation that counts as a breach; default 0.08.
-	Tolerance float64
-	// Patience is how many consecutive breaching batches fire the
-	// watchdog; default 3.
-	Patience int
-}
-
-func (c DriftConfig) alpha() float64 {
-	if c.Alpha > 0 && c.Alpha <= 1 {
-		return c.Alpha
-	}
-	return 0.25
-}
-
-func (c DriftConfig) tolerance() float64 {
-	if c.Tolerance > 0 {
-		return c.Tolerance
-	}
-	return 0.08
-}
-
-func (c DriftConfig) patience() int {
-	if c.Patience > 0 {
-		return c.Patience
-	}
-	return 3
-}
+// The drift watchdog's fixed tuning.
+const (
+	// driftAlpha is the EWMA smoothing factor.
+	driftAlpha = 0.25
+	// driftTolerance is the relative deviation of the EWMA from the wired
+	// expectation that counts as a breach.
+	driftTolerance = 0.08
+	// driftPatience is how many consecutive breaching batches fire the
+	// watchdog.
+	driftPatience = 3
+)
 
 // observeWired feeds one wired batch time to the watchdog and reports
 // whether it fired (thawing the explorer back into exploration).
 func (s *Session) observeWired(batchUs float64) bool {
-	if !s.Drift.Enabled || s.Exp == nil {
+	if !s.Watchdog || s.Exp == nil {
 		return false
 	}
 	if s.driftExpectUs == 0 {
@@ -144,15 +116,14 @@ func (s *Session) observeWired(batchUs float64) bool {
 		s.driftBreach = 0
 		return false
 	}
-	a := s.Drift.alpha()
-	s.driftEWMA = a*batchUs + (1-a)*s.driftEWMA
+	s.driftEWMA = driftAlpha*batchUs + (1-driftAlpha)*s.driftEWMA
 	dev := math.Abs(s.driftEWMA-s.driftExpectUs) / s.driftExpectUs
-	if dev <= s.Drift.tolerance() {
+	if dev <= driftTolerance {
 		s.driftBreach = 0
 		return false
 	}
 	s.driftBreach++
-	if s.driftBreach < s.Drift.patience() {
+	if s.driftBreach < driftPatience {
 		return false
 	}
 	// Sustained drift: the frozen configuration's measurements no longer
@@ -168,24 +139,19 @@ func (s *Session) observeWired(batchUs float64) bool {
 	return true
 }
 
-// DefaultTraceDetailBatches keeps a full exploration session's trace
-// loadable in Perfetto: kernel-level detail for this many exploration and
-// wired batches each, counters and trial spans for everything.
-const DefaultTraceDetailBatches = 8
+// traceDetailBatches bounds how many exploration batches and how many
+// wired batches export kernel-level detail (device spans, launch-queue
+// spans, per-unit dispatch spans), keeping a full exploration session's
+// trace loadable in Perfetto. Trial spans, counter tracks, metrics and
+// event-log records always cover the whole session.
+const traceDetailBatches = 8
 
 // traceDetail reports whether the next batch gets kernel-level spans.
 func (s *Session) traceDetail(exploring bool) bool {
-	limit := s.TraceDetailBatches
-	if limit == 0 {
-		limit = DefaultTraceDetailBatches
-	}
-	if limit < 0 {
-		return true
-	}
 	if exploring {
-		return s.Batches < limit
+		return s.Batches < traceDetailBatches
 	}
-	return s.wiredBatches < limit
+	return s.wiredBatches < traceDetailBatches
 }
 
 // SessionConfig configures NewSession.

@@ -119,6 +119,41 @@ func TestWiredDeterministic(t *testing.T) {
 	}
 }
 
+func TestDriftWatchdogBoundaries(t *testing.T) {
+	// The watchdog's fixed tuning, pinned at its edges: an EWMA exactly
+	// driftTolerance (8%) off the wired expectation is no breach; above it,
+	// the driftPatience-th (3rd) consecutive breach fires and the 2nd does
+	// not; an in-tolerance batch resets the streak. With driftAlpha 0.25
+	// and an expectation of 100, feeding b moves the EWMA e to
+	// 0.25·b + 0.75·e.
+	s := tinySession(t, "scrnn", enumerate.PresetF, false)
+	s.Watchdog = true
+	s.Explore()
+	feed := func(batchUs float64, wantFire bool, breaches int) {
+		t.Helper()
+		if got := s.observeWired(batchUs); got != wantFire {
+			t.Fatalf("observeWired(%v) fired = %v, want %v", batchUs, got, wantFire)
+		}
+		if s.driftBreach != breaches {
+			t.Fatalf("after %v: breach streak %d, want %d", batchUs, s.driftBreach, breaches)
+		}
+	}
+	feed(100, false, 0) // freezes the expectation at 100
+	feed(132, false, 0) // EWMA 108: exactly at tolerance
+	feed(116, false, 1) // EWMA 110
+	feed(110, false, 2)
+	feed(100, false, 0) // EWMA 107.5: back in tolerance, streak resets
+	feed(125, false, 1) // EWMA 111.875
+	feed(112, false, 2)
+	if s.DriftEvents != 0 || !s.Done() {
+		t.Fatalf("fired before the 3rd breach: events %d, done %v", s.DriftEvents, s.Done())
+	}
+	feed(112, true, 0)
+	if s.DriftEvents != 1 || s.Done() {
+		t.Fatalf("3rd breach: events %d, done %v; want 1 event and a thawed explorer", s.DriftEvents, s.Done())
+	}
+}
+
 func TestDriftWatchdogThawsAndRewiresInSession(t *testing.T) {
 	// End-to-end §4.6 drift story: explore → wire → clock throttles
 	// mid-wired-phase → watchdog detects sustained deviation → explorer
@@ -153,7 +188,7 @@ func TestDriftWatchdogThawsAndRewiresInSession(t *testing.T) {
 		ThrottleStartBatch: dry.Batches + 5,
 		ThrottleFactor:     1.5, // open-ended window: throttled to session end
 	}, rec)
-	s.Drift = DriftConfig{Enabled: true}
+	s.Watchdog = true
 
 	firstTrials := s.Explore()
 	if firstTrials != dry.Trials {
@@ -295,7 +330,7 @@ func TestSessionWithoutTree(t *testing.T) {
 	m := models.SCRNN(models.TinyConfig("scrnn", 2))
 	s := NewSession(m, SessionConfig{
 		Device:  gpusim.P100(),
-		Options: enumerate.Options{ElementwiseFusion: true},
+		Options: enumerate.Options{},
 		Runner:  RunnerConfig{PerOpCPUUs: 2},
 	})
 	if !s.Done() || s.Explore() != 0 {
