@@ -2,9 +2,10 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet verify lint race fuzz-smoke bench bench-json experiments experiments-quick cover cover-check analyze whatif serve serve-smoke costmodel clean
+.PHONY: all build test test-short vet verify lint race fuzz-smoke perfbench-check bench bench-json experiments experiments-quick cover cover-check analyze whatif serve serve-smoke costmodel clean
 
-all: build lint test race
+# Everything CI's test job runs: a green `make all` means that job passes.
+all: build lint test cover-check race fuzz-smoke verify perfbench-check
 
 build:
 	$(GO) build ./...
@@ -52,6 +53,12 @@ race:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexLoad$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/profile
 	$(GO) test -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/serve
+
+# perfbench is a nested module, so the root build never compiles it; vet
+# and test it in place so a root API change cannot break the benchmark
+# unnoticed (vet, not build: build would write a binary).
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 cover:
 	$(GO) test -short -cover ./...

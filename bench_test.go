@@ -122,7 +122,7 @@ func BenchmarkExplorerTrial(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix := profile.NewIndex()
-		e := adapt.NewExplorer(adapt.NewNode("root", adapt.Parallel, leaves...), ix)
+		e := adapt.NewExplorerPrior(adapt.NewNode("root", adapt.Parallel, leaves...), ix, "", nil)
 		for !e.Done() {
 			e.Observe(metrics)
 			e.Advance()

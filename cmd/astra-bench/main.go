@@ -21,6 +21,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -147,9 +148,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *verbose {
 		opts.Progress = func(s string) { fmt.Fprintln(stderr, "  ..", s) }
 	}
+	valid := harness.Names()
 	ids := strings.Split(*exp, ",")
 	if *exp == "all" {
-		ids = harness.Names()
+		ids = valid
+	}
+	for _, id := range ids {
+		if !slices.Contains(valid, id) {
+			fmt.Fprintf(stderr, "astra-bench: unknown experiment %q (valid: %s)\n", id, strings.Join(valid, ", "))
+			return 2
+		}
 	}
 	reg := obs.NewRegistry()
 	runs := reg.Counter("harness.runs", "experiments executed")

@@ -100,3 +100,19 @@ func TestListExits(t *testing.T) {
 		t.Errorf("list output: %s", stdout.String())
 	}
 }
+
+// TestUnknownExperimentExitsTwo: every ID is checked before any runs, so
+// a typo after a long experiment costs nothing and prints no table.
+func TestUnknownExperimentExitsTwo(t *testing.T) {
+	var stdout, stderr strings.Builder
+	code := run([]string{"-experiment", "table1,nosuch", "-quick"}, &stdout, &stderr)
+	if code != 2 {
+		t.Fatalf("exit %d, want 2; stderr: %s", code, stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("printed output before rejecting the ID:\n%s", stdout.String())
+	}
+	if !strings.Contains(stderr.String(), `unknown experiment "nosuch" (valid: `) || !strings.Contains(stderr.String(), "table1") {
+		t.Fatalf("stderr does not name the valid IDs: %s", stderr.String())
+	}
+}

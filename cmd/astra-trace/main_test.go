@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -63,5 +64,21 @@ func TestValidShows(t *testing.T) {
 		if stdout == "" {
 			t.Fatalf("-show %s produced no output", name)
 		}
+	}
+}
+
+// TestTraceGolden pins the printed trace of the tiny SC-RNN byte for byte:
+// nothing reads traces back, so this golden is what holds the format.
+func TestTraceGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/scrnn_tiny_trace.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, code := runTrace("-model", "scrnn", "-tiny", "-show", "trace")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	if stdout != string(want) {
+		t.Fatalf("stdout differs from testdata/scrnn_tiny_trace.golden:\n%s", stdout)
 	}
 }

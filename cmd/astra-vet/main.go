@@ -65,6 +65,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *batch < 1 {
+		fmt.Fprintf(stderr, "astra-vet: batch %d out of range (valid: 1 or more)\n", *batch)
+		return 2
+	}
 
 	combos, err := buildMatrix(*model, *preset, *workers)
 	if err != nil {

@@ -65,6 +65,18 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if code := run([]string{"-nosuchflag"}, &out, &errOut); code != 2 {
 		t.Fatalf("bad flag: exit %d, want 2", code)
 	}
+	// A batch below 1 is rejected before any model is built.
+	for _, b := range []string{"0", "-2"} {
+		out.Reset()
+		errOut.Reset()
+		code := run([]string{"-model", "scrnn", "-preset", "Astra_F", "-batch", b}, &out, &errOut)
+		if code != 2 || out.Len() != 0 {
+			t.Fatalf("-batch %s: exit %d, want 2 and no report; stdout %q", b, code, out.String())
+		}
+		if want := "batch " + b + " out of range (valid: 1 or more)"; !strings.Contains(errOut.String(), want) {
+			t.Errorf("-batch %s: stderr %q does not name %q", b, errOut.String(), want)
+		}
+	}
 }
 
 // stripElapsed removes the per-combination wall-clock column — the only

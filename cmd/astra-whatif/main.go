@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -71,6 +72,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *events == "" {
 		fmt.Fprintln(stderr, "astra-whatif: no event log; pass -events run.jsonl (see astra-run -events-out)")
+		return 2
+	}
+	if *tol < 0 || math.IsNaN(*tol) || math.IsInf(*tol, 0) {
+		fmt.Fprintf(stderr, "astra-whatif: -tolerance %g out of range (valid: a finite percent, 0 or more)\n", *tol)
 		return 2
 	}
 	if *matrix && !pert.Identity() {

@@ -63,6 +63,8 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-events", events, "-matrix", "-workers-list", "1,zero"}, 2, "bad -workers-list entry"},
 		{[]string{"-events", events, "-matrix", "-workers-list", "0"}, 2, "bad -workers-list entry"},
 		{[]string{"-events", events, "-matrix", "-fabrics", ","}, 2, "at least one fabric"},
+		{[]string{"-events", events, "-check", "-tolerance", "-5"}, 2, "-tolerance -5 out of range (valid: a finite percent, 0 or more)"},
+		{[]string{"-events", events, "-check", "-tolerance", "NaN"}, 2, "-tolerance NaN out of range (valid: a finite percent, 0 or more)"},
 		{[]string{"-events", events, "-fabric", "infiniband"}, 1, "unknown fabric"},
 		{[]string{"-events", events, "-workers", "4"}, 1, "single-GPU"},
 		{[]string{"-events", filepath.Join(dir, "missing.jsonl")}, 1, "missing.jsonl"},

@@ -54,7 +54,7 @@ func TestParallelExplorationIsAdditive(t *testing.T) {
 		leaves[i] = LeafNode(vars[i])
 	}
 	best := []int{2, 0, 1, 2, 0}
-	e := NewExplorer(NewNode("root", Parallel, leaves...), ix)
+	e := NewExplorerPrior(NewNode("root", Parallel, leaves...), ix, "", nil)
 	trials := drive(t, e, func() map[string]float64 {
 		m := map[string]float64{}
 		for i, v := range vars {
@@ -86,7 +86,7 @@ func TestExhaustiveFindsInteractingOptimum(t *testing.T) {
 	cost := map[[2]int]float64{
 		{0, 0}: 5, {0, 1}: 4, {1, 0}: 4, {1, 1}: 1, // interaction: (1,1) wins
 	}
-	e := NewExplorer(node, ix)
+	e := NewExplorerPrior(node, ix, "", nil)
 	trials := drive(t, e, func() map[string]float64 {
 		return map[string]float64{"epoch": cost[[2]int{a.Current(), b.Current()}]}
 	}, 20)
@@ -119,7 +119,7 @@ func TestPrefixIsHistoryAware(t *testing.T) {
 	// a=0 — the conditional structure).
 	costA := []float64{10, 5}
 	costB := map[[2]int]float64{{0, 0}: 9, {0, 1}: 3, {1, 0}: 2, {1, 1}: 6}
-	e := NewExplorer(node, ix)
+	e := NewExplorerPrior(node, ix, "", nil)
 	drive(t, e, func() map[string]float64 {
 		return map[string]float64{
 			"a": costA[a.Current()],
@@ -148,7 +148,7 @@ func TestPrefixIsAdditiveInChildren(t *testing.T) {
 		vars[i] = NewVar(string(rune('a'+i)), labels...)
 		leaves[i] = LeafNode(vars[i])
 	}
-	e := NewExplorer(NewNode("se", Prefix, leaves...), ix)
+	e := NewExplorerPrior(NewNode("se", Prefix, leaves...), ix, "", nil)
 	trials := drive(t, e, func() map[string]float64 {
 		m := map[string]float64{}
 		for _, v := range vars {
@@ -173,7 +173,7 @@ func TestForkExploresSubtreePerPolicyAndValidates(t *testing.T) {
 		{0, 0}: 5, {0, 1}: 4, // under p0 the best is 4
 		{1, 0}: 6, {1, 1}: 2, // under p1 the best is 2 — global winner
 	}
-	e := NewExplorer(tree, ix)
+	e := NewExplorerPrior(tree, ix, "", nil)
 	trials := drive(t, e, func() map[string]float64 {
 		c := cost[[2]int{policy.Current(), x.Current()}]
 		return map[string]float64{"x": c, "alloc": c}
@@ -204,7 +204,7 @@ func TestForkValidationUsesBestSubConfig(t *testing.T) {
 	policy := NewVar("alloc", "p0", "p1")
 	x := NewVar("x", "x0", "x1")
 	tree := NewNode("root", Fork, LeafNode(policy), LeafNode(x))
-	e := NewExplorer(tree, ix)
+	e := NewExplorerPrior(tree, ix, "", nil)
 	sawValidation := map[string]int{}
 	drive(t, e, func() map[string]float64 {
 		cost := map[[2]int]float64{{0, 0}: 5, {0, 1}: 1, {1, 0}: 3, {1, 1}: 7}[[2]int{policy.Current(), x.Current()}]
@@ -244,7 +244,7 @@ func TestNestedTreeConverges(t *testing.T) {
 			),
 		),
 	)
-	e := NewExplorer(tree, ix)
+	e := NewExplorerPrior(tree, ix, "", nil)
 	allVars := []*Var{f1, f2, e2}
 	trials := drive(t, e, func() map[string]float64 {
 		m := map[string]float64{}
@@ -278,7 +278,7 @@ func TestStuckExplorationSurfacesStickyError(t *testing.T) {
 	// session loops terminate, and the variables stay unvalidated.
 	ix := profile.NewIndex()
 	v := NewVar("v", "a", "b")
-	e := NewExplorer(LeafNode(v), ix)
+	e := NewExplorerPrior(LeafNode(v), ix, "", nil)
 	for i := 0; i < 100; i++ {
 		e.Observe(map[string]float64{}) // never measures v
 		if !e.Advance() {
@@ -309,7 +309,7 @@ func TestPrefixContextAccumulatesAllEarlierSiblings(t *testing.T) {
 		a := NewVar("a", "0", "1")
 		b := NewVar("b", "only")
 		c := NewVar("c", "0", "1")
-		e := NewExplorer(NewNode("se", Prefix, LeafNode(a), LeafNode(b), LeafNode(c)), ix)
+		e := NewExplorerPrior(NewNode("se", Prefix, LeafNode(a), LeafNode(b), LeafNode(c)), ix, "", nil)
 		drive(t, e, func() map[string]float64 {
 			return map[string]float64{
 				"a": costA[a.Current()],
@@ -336,7 +336,7 @@ func TestThawReExploresWithFreshMeasurements(t *testing.T) {
 	ix := profile.NewIndex()
 	a := NewVar("a", "0", "1")
 	b := NewVar("b", "0", "1")
-	e := NewExplorer(NewNode("root", Parallel, LeafNode(a), LeafNode(b)), ix)
+	e := NewExplorerPrior(NewNode("root", Parallel, LeafNode(a), LeafNode(b)), ix, "", nil)
 	cost := map[string][]float64{"a": {1, 5}, "b": {5, 1}}
 	metrics := func() map[string]float64 {
 		return map[string]float64{"a": cost["a"][a.Current()], "b": cost["b"][b.Current()]}
@@ -384,7 +384,7 @@ func TestMultiSampleKeepsRecordingUntilSatisfied(t *testing.T) {
 	ix := profile.NewIndex()
 	ix.SetSamples(3)
 	v := NewVar("v", "good", "bad")
-	e := NewExplorer(LeafNode(v), ix)
+	e := NewExplorerPrior(LeafNode(v), ix, "", nil)
 	// good: noisy around 10 with one lucky-looking 6; bad: consistent 9.
 	seq := map[string][]float64{
 		"good": {14, 10, 12},
@@ -430,7 +430,7 @@ func TestTreeRenderAndSize(t *testing.T) {
 func TestSingleChoiceVarsConvergeImmediately(t *testing.T) {
 	ix := profile.NewIndex()
 	v := NewVar("only", "theone")
-	e := NewExplorer(LeafNode(v), ix)
+	e := NewExplorerPrior(LeafNode(v), ix, "", nil)
 	trials := drive(t, e, func() map[string]float64 {
 		return map[string]float64{"only": 1}
 	}, 5)

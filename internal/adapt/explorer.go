@@ -12,7 +12,7 @@ import (
 // Explorer drives an update tree through the exploration state space, one
 // configuration per mini-batch trial. Usage (by the custom-wirer):
 //
-//	e := NewExplorer(tree, index)
+//	e := NewExplorerPrior(tree, index, "", nil)
 //	for !e.Done() {
 //	    metrics := runMiniBatchWithCurrentChoices()
 //	    e.Observe(metrics)
@@ -65,26 +65,16 @@ type Explorer struct {
 	mPriorPruned, mPriorRankInv *obs.Counter
 }
 
-// NewExplorer initializes the tree and positions it at the first
-// configuration to measure.
-func NewExplorer(root *Tree, ix *profile.Index) *Explorer {
-	return NewExplorerAt(root, ix, "")
-}
-
-// NewExplorerAt is NewExplorer with an explicit base profile context: every
-// key the exploration records or probes is mangled under baseCtx instead of
-// the root context "". Exploration behaviour is identical for any baseCtx —
-// the context only shifts key identity — which is what lets many concurrent
-// jobs share one profile.Index without cross-talk, each under its own
-// namespace, while identical jobs (same baseCtx) warm-start off each other.
-func NewExplorerAt(root *Tree, ix *profile.Index, baseCtx string) *Explorer {
-	return NewExplorerPrior(root, ix, baseCtx, nil)
-}
-
-// NewExplorerPrior is NewExplorerAt with a learned cost-model prior attached
-// (nil for none). The prior must be set at construction: the first tree walk
-// happens here, and the visit plan of the very first variable already
-// depends on it.
+// NewExplorerPrior initializes the tree and positions it at the first
+// configuration to measure. Every key the exploration records or probes is
+// mangled under baseCtx ("" is the single-job root context). Exploration
+// behaviour is identical for any baseCtx — the context only shifts key
+// identity — which is what lets many concurrent jobs share one
+// profile.Index without cross-talk, each under its own namespace, while
+// identical jobs (same baseCtx) warm-start off each other. prior, when
+// non-nil, is a learned cost-model prior; it must be set at construction:
+// the first tree walk happens here, and the visit plan of the very first
+// variable already depends on it.
 func NewExplorerPrior(root *Tree, ix *profile.Index, baseCtx string, prior Prior) *Explorer {
 	e := &Explorer{
 		root: root, ix: ix, base: baseCtx, vars: root.Vars(), prior: prior,

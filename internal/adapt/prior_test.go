@@ -102,7 +102,7 @@ func TestPrunedChoicesAudit(t *testing.T) {
 
 	// No prior: the audit trail stays empty through a full exploration.
 	v2 := NewVar("v", "a", "b")
-	e2 := NewExplorer(LeafNode(v2), profile.NewIndex())
+	e2 := NewExplorerPrior(LeafNode(v2), profile.NewIndex(), "", nil)
 	drive(t, e2, leafCosts(v2, []float64{2, 1}), 50)
 	if got := e2.PrunedChoices(); len(got) != 0 {
 		t.Fatalf("prior-free audit trail = %v, want empty", got)
@@ -205,7 +205,7 @@ func TestZeroPlanIdenticalToNoPrior(t *testing.T) {
 	}
 
 	treeA, varsA, metricsA := build()
-	ea := NewExplorer(treeA, profile.NewIndex())
+	ea := NewExplorerPrior(treeA, profile.NewIndex(), "", nil)
 	trialsA := drive(t, ea, metricsA, 100)
 
 	treeB, varsB, metricsB := build()

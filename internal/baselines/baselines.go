@@ -97,12 +97,6 @@ func RunXLA(g *graph.Graph, dev *gpusim.Device, inputs, params graph.Env) Result
 	return Result{TimeUs: br.TotalUs, Kernels: br.Kernels, Env: br.Env}
 }
 
-// CuDNNCovered reports whether the hand-optimized compound kernels apply to
-// the model: it must contain standard LSTM layers (scope segment "lstmN").
-// MI-LSTM, subLSTM and SC-RNN are exactly the long-tail cells cuDNN does
-// not implement, so they return false ("-" in the paper's tables).
-func CuDNNCovered(m *models.Model) bool { return len(coveredScopes(m)) > 0 }
-
 // coveredScopes returns the provenance scopes replaced by compound kernels.
 func coveredScopes(m *models.Model) map[string]bool {
 	out := map[string]bool{}

@@ -73,9 +73,6 @@ func TestCuDNNCoverage(t *testing.T) {
 	}
 	for name, want := range covered {
 		m := tinyModel(t, name)
-		if got := CuDNNCovered(m); got != want {
-			t.Errorf("CuDNNCovered(%s) = %v, want %v", name, got, want)
-		}
 		_, ok := RunCuDNN(m, gpusim.NewDevice(gpusim.P100()), PyTorch(), nil, nil)
 		if ok != want {
 			t.Errorf("RunCuDNN(%s) ok = %v, want %v", name, ok, want)

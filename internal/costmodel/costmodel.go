@@ -122,9 +122,6 @@ func hashUint(h uint64, v int) uint64 {
 	return (h ^ '|') * fnvPrime64
 }
 
-// Levels is the number of backoff levels.
-const Levels = 3
-
 //astra:hotpath
 func hashL0(meta Meta, varID, label string) uint64 {
 	h := hashString(fnvOffset64, "0")

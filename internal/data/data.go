@@ -84,13 +84,3 @@ func BucketFor(buckets []int, length int) int {
 	}
 	panic(fmt.Sprintf("data: length %d exceeds largest bucket %d", length, buckets[len(buckets)-1]))
 }
-
-// TokenStream produces n deterministic token ids in [0, vocab).
-func TokenStream(n, vocab int, seed uint64) []int {
-	rng := tensor.NewRNG(seed*2654435761 + 97)
-	out := make([]int, n)
-	for i := range out {
-		out[i] = rng.Intn(vocab)
-	}
-	return out
-}

@@ -96,22 +96,6 @@ func TestBucketsProperty(t *testing.T) {
 	}
 }
 
-func TestTokenStream(t *testing.T) {
-	ts := TokenStream(1000, 50, 9)
-	for _, tok := range ts {
-		if tok < 0 || tok >= 50 {
-			t.Fatalf("token %d out of vocab", tok)
-		}
-	}
-	seen := map[int]bool{}
-	for _, tok := range ts {
-		seen[tok] = true
-	}
-	if len(seen) < 40 {
-		t.Fatalf("only %d distinct tokens of 50", len(seen))
-	}
-}
-
 func TestBucketsValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {

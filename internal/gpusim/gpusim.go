@@ -132,11 +132,6 @@ type Event struct {
 	timeUs   float64
 }
 
-// Stream returns the stream the event was recorded on — the producer side
-// of a cross-stream dependency, which the trace analyzer follows when a
-// wait on this event turns out to be a kernel's binding constraint.
-func (e *Event) Stream() int { return e.stream }
-
 // Resolved reports whether the event's timestamp is known (i.e. the device
 // has been synchronized past it).
 func (e *Event) Resolved() bool { return e.resolved }
@@ -385,9 +380,6 @@ func (d *Device) Throttled() bool {
 	}
 	return f.ThrottleBatches <= 0 || d.batch < f.ThrottleStartBatch+f.ThrottleBatches
 }
-
-// Config returns the device configuration.
-func (d *Device) Config() Config { return d.cfg }
 
 // SetCostOverride installs (or, with a zero value, clears) a per-class
 // execution-time override. It applies from the next Launch onward.

@@ -106,16 +106,6 @@ func (o Op) String() string {
 	return opNames[o]
 }
 
-// OpFromString parses a trace mnemonic back to an Op.
-func OpFromString(s string) (Op, bool) {
-	for i, n := range opNames {
-		if n == s {
-			return Op(i), true
-		}
-	}
-	return 0, false
-}
-
 // IsElementwise reports whether the op touches each element independently,
 // which makes it a candidate for elementwise fusion (§5.3 of the paper).
 func (o Op) IsElementwise() bool {
@@ -261,33 +251,6 @@ func (g *Graph) NewValue(shape tensor.Shape, name string) *Value {
 	return v
 }
 
-// addValueWithID creates a value carrying an explicit ID; the trace parser
-// uses it so reconstructed graphs keep their original SSA numbering.
-func (g *Graph) addValueWithID(id int, shape tensor.Shape, name string) *Value {
-	v := &Value{ID: id, Shape: shape.Clone(), Name: name}
-	if id >= g.nextValueID {
-		g.nextValueID = id + 1
-	}
-	g.Values = append(g.Values, v)
-	return v
-}
-
-// addNodeWithOutID appends a node whose output keeps an explicit value ID;
-// shape is inferred from the operator. Unlike AddNode it returns an error on
-// operator misuse: the trace parser feeds it untrusted input.
-func (g *Graph) addNodeWithOutID(outID int, op Op, prov Provenance, attr Attr, inputs ...*Value) (*Value, error) {
-	shape, err := InferShape(op, attr, inputs)
-	if err != nil {
-		return nil, err
-	}
-	out := g.addValueWithID(outID, shape, "")
-	n := &Node{ID: g.nextNodeID, Op: op, Inputs: inputs, Out: out, Attr: attr, Prov: prov}
-	g.nextNodeID++
-	out.Producer = n
-	g.Nodes = append(g.Nodes, n)
-	return out, nil
-}
-
 // Input declares a per-mini-batch input tensor (e.g. token ids, targets).
 func (g *Graph) Input(name string, shape ...int) *Value {
 	v := g.NewValue(shape, name)
@@ -334,8 +297,8 @@ func inferShape(op Op, attr Attr, in []*Value) tensor.Shape {
 
 // InferShape computes the output shape of op applied to the given inputs,
 // or an error describing the operator misuse. It is the single source of
-// truth for operator shape semantics: the builder panics on its errors, the
-// trace parser returns them, and the plan verifier re-checks every edge of a
+// truth for operator shape semantics: the builder panics on its errors,
+// Validate returns them, and the plan verifier re-checks every edge of a
 // finished graph against it.
 func InferShape(op Op, attr Attr, in []*Value) (tensor.Shape, error) {
 	if err := checkArity(op, in); err != nil {

@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"astra/internal/parallel"
 )
 
 // Table is a rendered experiment result.
@@ -141,20 +139,6 @@ func Run(id string, o Options) (*Table, error) {
 		return nil, fmt.Errorf("harness: unknown experiment %q (have %v)", id, Names())
 	}
 	return r(o)
-}
-
-// RunAll executes the given experiments (all of them when ids is empty) with
-// up to o.Parallel experiments in flight at once, on top of the per-cell
-// parallelism each experiment already has. Tables return in the canonical
-// order of ids regardless of scheduling; the error is the first failing
-// experiment's, by that same order.
-func RunAll(ids []string, o Options) ([]*Table, error) {
-	if len(ids) == 0 {
-		ids = Names()
-	}
-	return parallel.Map(o.workers(), len(ids), func(i int) (*Table, error) {
-		return Run(ids[i], o)
-	})
 }
 
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }

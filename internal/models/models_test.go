@@ -198,21 +198,6 @@ func TestSCRNNSharedArgumentGEMMs(t *testing.T) {
 	}
 }
 
-func TestTraceRoundTripForModels(t *testing.T) {
-	for _, name := range Names() {
-		build, _ := Get(name)
-		m := build(TinyConfig(name, 2))
-		txt := m.G.TraceString()
-		g2, err := graph.ParseTrace(strings.NewReader(txt))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(g2.Nodes) != len(m.G.Nodes) {
-			t.Fatalf("%s: trace round-trip lost nodes", name)
-		}
-	}
-}
-
 func TestDefaultConfigsSane(t *testing.T) {
 	for _, name := range Names() {
 		cfg := DefaultConfig(name, 32)

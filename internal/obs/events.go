@@ -138,13 +138,6 @@ func (l *EventLog) SetSink(w io.Writer) {
 	l.mu.Unlock()
 }
 
-// Enabled reports whether a sink is attached.
-func (l *EventLog) Enabled() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.enc != nil
-}
-
 // Emit appends one record. Without a sink it is a no-op.
 func (l *EventLog) Emit(ev TrialEvent) error {
 	l.mu.Lock()

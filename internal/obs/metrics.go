@@ -198,18 +198,6 @@ func (r *Registry) Histogram(name, help string, buckets ...float64) *Histogram {
 	return h
 }
 
-// Names returns the registered metric names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.metrics))
-	for n := range r.metrics {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // promName maps a dotted metric name onto the Prometheus charset.
 func promName(name string) string {
 	var b strings.Builder

@@ -142,14 +142,13 @@ type shard struct {
 // exploration episodes can share one store (cross-episode profile reuse)
 // while each episode's own lookups stay exact.
 type Index struct {
-	shards   [numShards]shard
-	need     atomic.Int64 // samples a key needs to count as measured (below 1 means 1)
-	loadMode atomic.Int32 // LoadMode Load obeys (default LoadReplace)
-	hits     atomic.Int64
-	misses   atomic.Int64
-	trial    atomic.Int64
-	samples  atomic.Int64 // samples recorded this session (the explorer's progress signal)
-	size     atomic.Int64 // stored keys, maintained on insert/evict/load
+	shards  [numShards]shard
+	need    atomic.Int64 // samples a key needs to count as measured (below 1 means 1)
+	hits    atomic.Int64
+	misses  atomic.Int64
+	trial   atomic.Int64
+	samples atomic.Int64 // samples recorded this session (the explorer's progress signal)
+	size    atomic.Int64 // stored keys, maintained on insert/evict/load
 
 	// Optional telemetry, attached by Instrument.
 	mHits    *obs.Counter
@@ -436,26 +435,6 @@ func (ix *Index) Entries() []Entry {
 	return out
 }
 
-// Dump renders the index sorted by key, for reports and debugging.
-func (ix *Index) Dump() string {
-	snap := ix.snapshot()
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, string(k))
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		st := snap[Key(k)]
-		if st.Count > 1 {
-			fmt.Fprintf(&b, "%s -> %.3fus ±%.3f (n=%d, trial %d)\n", k, st.Mean, st.CIHalfWidthUs(), st.Count, st.Trial)
-		} else {
-			fmt.Fprintf(&b, "%s -> %.3fus (trial %d)\n", k, st.Mean, st.Trial)
-		}
-	}
-	return b.String()
-}
-
 // snapshotVersion is the serialized format, the only one Load accepts.
 // Version 2 added multi-sample statistics; the single-sample files before
 // it carried no version field and are rejected.
@@ -487,38 +466,12 @@ func (ix *Index) Save(w io.Writer) error {
 	return json.NewEncoder(w).Encode(&snap)
 }
 
-// LoadMode selects how Load treats the index's existing contents and
-// session counters.
-type LoadMode int32
-
-// Load modes.
-const (
-	// LoadReplace is the historical behaviour: the snapshot replaces the
-	// contents wholesale and the query statistics, session sample counter
-	// and trial tag reset — right for a fresh session warm-starting from a
-	// file, where pre-load counters belong to a different session.
-	LoadReplace LoadMode = iota
-	// LoadMerge folds the snapshot into the live contents instead: keys
-	// already present keep their statistics (first-measurement-wins, like
-	// Record), only absent keys are inserted, and the hit/miss/sample/trial
-	// counters are preserved. A long-running server importing fleet
-	// snapshots mid-run must use this mode — under LoadReplace an import
-	// would silently zero the fleet's hit-rate metrics and discard every
-	// measurement recorded since the snapshot was taken.
-	LoadMerge
-)
-
-// SetLoadMode installs the mode subsequent Load calls obey (default
-// LoadReplace, the historical behaviour).
-func (ix *Index) SetLoadMode(m LoadMode) { ix.loadMode.Store(int32(m)) }
-
-// Load installs a Save'd snapshot; a snapshot of any other format version
-// is an error. Under the default LoadReplace mode the snapshot replaces the
-// contents and resets the query statistics, session sample counter and
-// trial tag — counters accumulated before the load belong to a different
-// session, and keeping them would corrupt warm-start reporting and the
-// explorer's progress guard. Under LoadMerge (SetLoadMode) the snapshot
-// merges into the live contents and every counter is preserved.
+// Load merges a Save'd snapshot into the index; a snapshot of any other
+// format version is an error. Keys already present keep their statistics
+// (first-measurement-wins, like Record) and only absent keys are inserted.
+// The hit/miss/sample/trial counters are left alone: a live server's fleet
+// statistics must survive a snapshot import, and on a fresh index they are
+// zero either way.
 func (ix *Index) Load(r io.Reader) error {
 	var raw struct {
 		Version int                        `json:"version"`
@@ -542,53 +495,19 @@ func (ix *Index) Load(r io.Reader) error {
 		}
 		m[Key(Intern(k))] = Stats{Count: count, Mean: e.Mean, M2: e.M2, Trial: e.Trial}
 	}
-	if LoadMode(ix.loadMode.Load()) == LoadMerge {
-		// Merge: live entries win (first-measurement-wins, matching
-		// Record); counters stay — a live server's fleet statistics must
-		// survive a snapshot import.
-		added := 0
-		for k, st := range m {
-			sh := ix.shardFor(k)
-			sh.mu.Lock()
-			if _, ok := sh.m[k]; !ok {
-				sh.m[k] = st
-				added++
-			}
-			sh.mu.Unlock()
-		}
-		if added > 0 {
-			ix.size.Add(int64(added))
-		}
-		if ix.mSize != nil {
-			ix.mSize.Set(float64(ix.size.Load()))
-		}
-		return nil
-	}
-	// Replace contents wholesale: snapshot decode succeeded, so swap in the
-	// new entries shard by shard. Size bookkeeping is delta-based so a
-	// Record racing the load cannot strand the counter.
-	delta := 0
-	for i := range ix.shards {
-		sh := &ix.shards[i]
-		sh.mu.Lock()
-		delta -= len(sh.m)
-		sh.m = make(map[Key]Stats)
-		sh.mu.Unlock()
-	}
+	added := 0
 	for k, st := range m {
 		sh := ix.shardFor(k)
 		sh.mu.Lock()
 		if _, ok := sh.m[k]; !ok {
-			delta++
+			sh.m[k] = st
+			added++
 		}
-		sh.m[k] = st
 		sh.mu.Unlock()
 	}
-	ix.size.Add(int64(delta))
-	ix.hits.Store(0)
-	ix.misses.Store(0)
-	ix.trial.Store(0)
-	ix.samples.Store(0)
+	if added > 0 {
+		ix.size.Add(int64(added))
+	}
 	if ix.mSize != nil {
 		ix.mSize.Set(float64(ix.size.Load()))
 	}

@@ -110,13 +110,8 @@ func TestNormalizeAndAccessors(t *testing.T) {
 	if _, err := (Job{Model: "nope"}).Normalize(); err == nil {
 		t.Fatal("Normalize accepted an unknown model")
 	}
-	s := NewServer(Config{})
-	if s.Registry() == nil {
-		t.Fatal("Registry() = nil")
-	}
-	rep := &LoadReport{ColdWiredUs: map[string]float64{"b;": 1, "a;": 2}}
-	if sigs := rep.Signatures(); len(sigs) != 2 || sigs[0] != "a;" {
-		t.Fatalf("Signatures() = %v, want sorted [a; b;]", sigs)
+	if s := NewServer(Config{}); s.Fleet() == nil || s.Fleet().Len() != 0 {
+		t.Fatal("Fleet() is not an empty store")
 	}
 }
 

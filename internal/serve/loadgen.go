@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -87,16 +86,6 @@ type LoadReport struct {
 	// ColdWiredUs maps each signature to its cold-exploration wired
 	// mini-batch time — the deterministic ground truth of the run.
 	ColdWiredUs map[string]float64 `json:"cold_wired_us"`
-}
-
-// Signatures returns the report's signatures, sorted.
-func (r *LoadReport) Signatures() []string {
-	out := make([]string, 0, len(r.ColdWiredUs))
-	for sig := range r.ColdWiredUs { // lint:ok map-range sorted below
-		out = append(out, sig)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // RunLoad drives cfg.Tenants concurrent tenants against sub (an in-process

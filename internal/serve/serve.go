@@ -192,10 +192,6 @@ func NewServer(cfg Config) *Server {
 		sigs:   map[string]*sigState{},
 		priors: map[string]*costmodel.Model{},
 	}
-	// Mid-run snapshot imports must merge and preserve the fleet counters;
-	// the historical replace+reset Load semantics would silently zero the
-	// hit-rate metrics of a live server.
-	s.fleet.SetLoadMode(profile.LoadMerge)
 	s.exec = s.runSession
 	reg := cfg.Registry
 	s.fleet.Instrument(reg)
@@ -238,9 +234,6 @@ func (s *Server) priorModel(tenant string) *costmodel.Model {
 	}
 	return m
 }
-
-// Registry returns the metrics registry the server reports into.
-func (s *Server) Registry() *obs.Registry { return s.cfg.Registry }
 
 // Fleet returns the shared profile store (snapshot with Save; import with
 // Load, which merges and preserves counters on a live server).
