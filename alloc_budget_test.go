@@ -21,6 +21,7 @@ import (
 	"astra/internal/costmodel"
 	"astra/internal/enumerate"
 	"astra/internal/gpusim"
+	"astra/internal/job"
 	"astra/internal/kernels"
 	"astra/internal/models"
 	"astra/internal/obs"
@@ -125,7 +126,9 @@ func TestKernelClassAllocBudget(t *testing.T) {
 
 // TestWiredStepAllocBudget pins the full wired mini-batch (dispatch + DES
 // simulation) for the paper-scale subLSTM (down from ~13.3k before
-// pooling).
+// pooling, and from 2321 before the launch list: the kernel specs, names
+// included, are resolved once per program rather than once per batch).
+// The two left build the batch's metrics map.
 func TestWiredStepAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("explores a paper-scale model")
@@ -139,13 +142,13 @@ func TestWiredStepAllocBudget(t *testing.T) {
 	})
 	s.Explore()
 	s.Step()
-	pinAllocs(t, "wired step", 10, 2321, func() { s.Step() })
+	pinAllocs(t, "wired step", 10, 2, func() { s.Step() })
 }
 
 // TestWiredEvalBatchAllocBudget pins a wired batch that also computes
 // values through the CPU oracle (wire's eval on every unit), with the
-// profiling span records on, for a tiny subLSTM. Most of the count is the
-// oracle's own tensors.
+// profiling span records on, for a tiny subLSTM. The count is the
+// oracle's own tensors: the kernel specs come from the launch list.
 func TestWiredEvalBatchAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the -short runs are the instrumented ones (make race, make cover-check), and instrumentation shifts the oracle's count")
@@ -164,7 +167,7 @@ func TestWiredEvalBatchAllocBudget(t *testing.T) {
 	if res := r.RunBatch(in, s.Params); res.Env[m.G.Loss] == nil || res.ProfEvents == 0 {
 		t.Fatal("wired batch computed no loss or recorded no profiling events")
 	}
-	pinAllocs(t, "wired batch with values", 10, 1706, func() { r.RunBatch(in, s.Params) })
+	pinAllocs(t, "wired batch with values", 10, 1485, func() { r.RunBatch(in, s.Params) })
 }
 
 // TestWiredCommBatchAllocBudget pins a wired 2-worker RunBatch replaying
@@ -190,7 +193,27 @@ func TestWiredCommBatchAllocBudget(t *testing.T) {
 	if res := r.RunBatch(nil, nil); res.CommKernels == 0 {
 		t.Fatal("wired batch exchanged no gradients")
 	}
-	pinAllocs(t, "wired 2-worker batch", 10, 1021, func() { r.RunBatch(nil, nil) })
+	pinAllocs(t, "wired 2-worker batch", 10, 2, func() { r.RunBatch(nil, nil) })
+}
+
+// TestWiredClusterStepAllocBudget pins perfbench wired-dp's op: one wired
+// Session.Step of the paper-scale scrnn at batch 16, level FKS, over two
+// workers on PCIe 3. The peer issues rank 0's program and launch list, so
+// the count is each worker's metrics map plus the step's worker-time list.
+func TestWiredClusterStepAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("explores a paper-scale model")
+	}
+	shape, err := job.Shape{Model: "scrnn", Scale: job.Default, Batch: 16, Level: "FKS", Workers: 2, Fabric: "pcie3"}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := wire.NewSession(shape.Build(), shape.SessionConfig())
+	s.Explore()
+	if res := s.Step(); len(res.WorkerUs) != 2 || res.CommKernels == 0 {
+		t.Fatalf("wired step ran %d workers and %d comm kernels, want 2 workers exchanging gradients", len(res.WorkerUs), res.CommKernels)
+	}
+	pinAllocs(t, "wired 2-worker Session.Step", 10, 6, func() { s.Step() })
 }
 
 // TestCostModelPredictAllocBudget pins the cost-model prediction hot path:

@@ -137,7 +137,9 @@ type Options struct {
 	// requirement of §7 — exploration still works but picks noisy winners.
 	Autoboost bool
 	// Jitter overrides the autoboost jitter amplitude (default 0.08 when
-	// Autoboost is on).
+	// Autoboost is on); a value above 0 turns Autoboost on. It must lie
+	// below 1, where a kernel's scaled duration could reach zero: Compile
+	// panics on 1 or more. A value of 0 or below keeps the default.
 	Jitter float64
 	// Samples requires each measurement to be the mean of this many
 	// repeated trials before a choice can freeze (default 1, the paper's
@@ -173,9 +175,9 @@ type Session struct {
 }
 
 // Compile runs the enumerator over the model and prepares the runtime.
-// An unknown level, or a multi-worker configuration (Options.Workers >= 2)
-// with an unknown fabric name, panics; use distsim's fabric names
-// ("pcie3", "nvlink1").
+// An unknown level, a multi-worker configuration (Options.Workers >= 2)
+// with an unknown fabric name, or an Options.Jitter of 1 or more, panics;
+// use distsim's fabric names ("pcie3", "nvlink1").
 func Compile(m *Model, opts Options) *Session {
 	shape := job.Shape{Level: string(opts.Level), Streams: opts.Streams, Workers: opts.Workers, Fabric: opts.Fabric}
 	if shape.Level == "" {

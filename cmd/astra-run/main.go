@@ -62,6 +62,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "astra-run: unknown dispatcher %q (valid: %s)\n", *dispatcher, strings.Join(dispatchers, ", "))
 		return 2
 	}
+	if err := checkRanges(*jitter, *batches, *driftAt); err != nil {
+		fmt.Fprintln(stderr, "astra-run:", err)
+		return 2
+	}
 	shape, err := job.Shape{Model: *model, Scale: job.Default, Batch: *batch, Level: *level, Workers: *workers, Fabric: *fabric}.Normalize()
 	if err != nil {
 		fmt.Fprintln(stderr, "astra-run:", err)
@@ -122,6 +126,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// checkRanges rejects the numeric flags no run can honour: a jitter
+// amplitude at which a kernel could run for no time or less, and a
+// negative step count or drift batch.
+func checkRanges(jitter float64, steps, driftAt int) error {
+	if !(jitter >= 0 && jitter < 1) {
+		return fmt.Errorf("jitter %v out of range (valid: 0 up to but not including 1, 0 = autoboost off)", jitter)
+	}
+	if steps < 0 {
+		return fmt.Errorf("steps %d out of range (valid: 0 or more)", steps)
+	}
+	if driftAt < 0 {
+		return fmt.Errorf("drift-at %d out of range (valid: 0 or more, 0 = no drift)", driftAt)
+	}
+	return nil
 }
 
 func runAstra(stdout io.Writer, m *astra.Model, opts astra.Options, batches int, report bool, traceOut, eventsOut string, metrics bool, timeline string) error {

@@ -13,9 +13,9 @@ func runCLI(args ...string) (string, string, int) {
 	return stdout.String(), stderr.String(), code
 }
 
-// TestBadShapeExitsTwo: a bad model, level, fabric, batch or worker count
-// is a usage error that names the valid choices, reported before any model
-// is built.
+// TestBadShapeExitsTwo: a bad model, level, fabric, batch or worker count,
+// and a jitter, step count or drift batch out of range, is a usage error
+// that names the valid choices, reported before any model is built.
 func TestBadShapeExitsTwo(t *testing.T) {
 	cases := []struct {
 		name string
@@ -29,6 +29,12 @@ func TestBadShapeExitsTwo(t *testing.T) {
 		{"zero batch", []string{"-model", "scrnn", "-batch", "0", "-steps", "1"}, "batch 0 out of range (valid: 1 or more)"},
 		{"negative batch", []string{"-model", "scrnn", "-batch", "-2"}, "batch -2 out of range (valid: 1 or more)"},
 		{"dispatcher", []string{"-model", "sublstm", "-dispatcher", "cuda"}, "valid: astra, native, tf, xla, cudnn"},
+		{"jitter above range", []string{"-model", "scrnn", "-jitter", "5"}, "jitter 5 out of range (valid: 0 up to but not including 1"},
+		{"jitter at bound", []string{"-model", "scrnn", "-jitter", "1"}, "jitter 1 out of range (valid: 0 up to but not including 1"},
+		{"negative jitter", []string{"-model", "scrnn", "-jitter", "-0.5"}, "jitter -0.5 out of range (valid: 0 up to but not including 1"},
+		{"NaN jitter", []string{"-model", "scrnn", "-jitter", "NaN"}, "jitter NaN out of range (valid: 0 up to but not including 1"},
+		{"negative steps", []string{"-model", "scrnn", "-steps", "-2"}, "steps -2 out of range (valid: 0 or more)"},
+		{"negative drift-at", []string{"-model", "scrnn", "-drift-at", "-4"}, "drift-at -4 out of range (valid: 0 or more, 0 = no drift)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -53,6 +53,9 @@ type Config struct {
 	// re-measuring the same configuration in a later batch sees different
 	// noise — which is what multi-sample profiling averages away — while
 	// the same seed still reproduces the same session bit for bit.
+	// BoostJitter must lie in [0, 1) with Autoboost on (NewDevice panics
+	// otherwise): at 1 or more a factor can reach zero or below, and with
+	// it a kernel's duration.
 	Autoboost   bool
 	BoostJitter float64
 	// Seed drives the autoboost jitter stream.
@@ -352,6 +355,9 @@ func (d *Device) PoolCounters() (reused, allocated int64) {
 func NewDevice(cfg Config) *Device {
 	if cfg.NumSMs <= 0 {
 		panic("gpusim: NumSMs must be positive")
+	}
+	if cfg.Autoboost && !(cfg.BoostJitter >= 0 && cfg.BoostJitter < 1) {
+		panic(fmt.Sprintf("gpusim: BoostJitter %v out of range (valid: [0, 1) with Autoboost on)", cfg.BoostJitter))
 	}
 	fseed := cfg.Faults.Seed
 	if fseed == 0 {

@@ -470,6 +470,42 @@ func TestBadSpecsPanic(t *testing.T) {
 	}()
 }
 
+// TestBoostJitterRange: with autoboost on, a jitter amplitude outside
+// [0, 1) panics at construction, since at 1 or more a tile time can be
+// scaled to zero or below; any amplitude is accepted with autoboost off,
+// where it is never read. Just inside the range every launch keeps a
+// positive duration.
+func TestBoostJitterRange(t *testing.T) {
+	for _, j := range []float64{1, 5, -0.5, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewDevice accepted BoostJitter %v with autoboost on", j)
+				}
+			}()
+			cfg := testConfig()
+			cfg.Autoboost, cfg.BoostJitter = true, j
+			NewDevice(cfg)
+		}()
+		cfg := testConfig()
+		cfg.BoostJitter = j
+		NewDevice(cfg)
+	}
+	cfg := testConfig()
+	cfg.Autoboost, cfg.BoostJitter = true, 0.999
+	d := NewDevice(cfg)
+	d.Reset()
+	for i := 0; i < 200; i++ {
+		d.Launch(0, KernelSpec{Tiles: 1, TileTimeUs: 10})
+	}
+	d.Synchronize()
+	for _, rec := range d.Records() {
+		if rec.TileTimeUs <= 0 || rec.DurationUs() <= 0 {
+			t.Fatalf("jitter 0.999 gave %s a tile time of %v us", rec.Name, rec.TileTimeUs)
+		}
+	}
+}
+
 // TestConservationProperty: for random workloads, total SM busy time equals
 // the sum of tiles × tile time, and no kernel ends before it starts.
 func TestConservationProperty(t *testing.T) {

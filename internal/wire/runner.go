@@ -5,8 +5,10 @@
 // synchronization, super-epoch barriers — while wrapping every region of
 // interest in cudaEvent pairs for fine-grained profiling (§5.2). The
 // schedule itself is the op program verify.BuildSchedule lowers the binding
-// to; the runner caches it and issues its ops in order. After the batch it
-// extracts one metric per adaptive variable and hands them to the explorer.
+// to; the runner caches it with its launch list — the kernel spec of every
+// op, resolved once per program — and replays both every batch. After the
+// batch it extracts one metric per adaptive variable and hands them to the
+// explorer.
 package wire
 
 import (
@@ -104,6 +106,22 @@ type Runner struct {
 	choices   []int
 	lowerings int
 
+	// launches is prog's launch list: the kernel spec of every op that
+	// launches one, in issue order, resolved when the program is first
+	// issued (resolved is the lowering it belongs to). spare is the list
+	// before it, kept for its capacity. units records, per unit in issue
+	// order, where its specs sit in launches and what they were resolved
+	// for, so a re-resolution reuses the specs of units whose ops did not
+	// change.
+	launches, spare []gpusim.KernelSpec
+	units           []unitLaunches
+	resolved        int
+
+	// lead is rank 0's runner when this one is a session peer. A peer
+	// lowers and resolves nothing: it issues lead's program and launch
+	// list, so every rank runs the program the session verified.
+	lead *Runner
+
 	// st is the reusable per-batch execution state.
 	st execState
 }
@@ -144,10 +162,21 @@ func NewRunner(plan *enumerate.Plan, dev *gpusim.Device, cfg RunnerConfig) *Runn
 	return r
 }
 
+// newPeer builds the runner of another rank of lead's session on its own
+// device. It shares lead's program and launch list instead of lowering a
+// copy of its own.
+func newPeer(lead *Runner, dev *gpusim.Device, cfg RunnerConfig) *Runner {
+	dev.EnsureStreams(len(lead.prog.Streams))
+	return &Runner{Plan: lead.Plan, Dev: dev, Cfg: cfg, lead: lead}
+}
+
 // Program returns the op program the next batch issues: the cached one
 // while the plan's choice vector is unchanged, a fresh lowering otherwise.
-// It stays valid until the binding changes.
+// It stays valid until the binding changes. A peer's program is its lead's.
 func (r *Runner) Program() *verify.Schedule {
+	if r.lead != nil {
+		return r.lead.Program()
+	}
 	for i, v := range r.vars {
 		if v.Current() != r.choices[i] {
 			r.lower()
@@ -165,15 +194,107 @@ func (r *Runner) lower() {
 	r.lowerings++
 }
 
+// issued returns the program the next batch issues and its launch list,
+// resolving the list the first time a lowering is issued.
+func (r *Runner) issued() (*verify.Schedule, []gpusim.KernelSpec) {
+	if r.lead != nil {
+		return r.lead.issued()
+	}
+	prog := r.Program()
+	if r.resolved != r.lowerings {
+		r.resolve()
+		r.resolved = r.lowerings
+	}
+	return prog, r.launches
+}
+
+// unitLaunches locates one unit's specs in the launch list and keys them
+// by what they were resolved from.
+type unitLaunches struct {
+	u   *enumerate.Unit
+	off int
+	key unitKey
+}
+
+// unitKey is a unit's kernel library, op count and first op's member
+// count. In a fusion group the member count is the chunk size, and with
+// it the op count says whether gathers are staged, so an equal key means
+// an equal op run.
+type unitKey struct {
+	lib          kernels.Library
+	ops, members int
+}
+
+// resolve builds the launch list of the cached program into the spare
+// list. Lowering keeps units in the same issue order under every binding,
+// so a unit found at its old place with its old key copies its specs from
+// the previous list; any other unit, and every ring step, is resolved
+// afresh.
+func (r *Runner) resolve() {
+	prog := &r.prog
+	n := 0
+	for _, pos := range prog.Issue {
+		if op := at(prog, pos); op.Unit != nil || op.Kind == verify.OpKernel {
+			n++
+		}
+	}
+	out := r.spare[:0]
+	if cap(out) < n {
+		out = make([]gpusim.KernelSpec, 0, n)
+	}
+	if len(r.units) != len(prog.FirstOp) {
+		r.units = make([]unitLaunches, len(prog.FirstOp))
+	}
+	k := 0
+	for i := 0; i < len(prog.Issue); i++ {
+		op := at(prog, prog.Issue[i])
+		switch {
+		case op.Unit != nil:
+			u := op.Unit
+			j := i + 1
+			for j < len(prog.Issue) && at(prog, prog.Issue[j]).Unit == u {
+				j++
+			}
+			key := unitKey{lib: r.libFor(u), ops: j - i, members: op.Members}
+			if rec := r.units[k]; rec.u == u && rec.key == key {
+				out = append(out, r.launches[rec.off:rec.off+key.ops]...)
+			} else {
+				for _, pos := range prog.Issue[i:j] {
+					out = append(out, unitKernel(at(prog, pos), key.lib))
+				}
+			}
+			r.units[k] = unitLaunches{u: u, off: len(out) - key.ops, key: key}
+			k++
+			i = j - 1
+		case op.Kind == verify.OpKernel:
+			out = append(out, r.ringStep(prog, op))
+		}
+	}
+	r.launches, r.spare = out, r.launches
+}
+
+// at returns the op at pos.
+func at(prog *verify.Schedule, pos verify.Pos) *verify.Op {
+	return &prog.Streams[pos.Stream][pos.Index]
+}
+
 // CommStream returns the stream index dedicated to communication kernels
 // (meaningful only when comm is enabled).
-func (r *Runner) CommStream() int { return r.prog.CommStream }
+func (r *Runner) CommStream() int {
+	if r.lead != nil {
+		return r.lead.CommStream()
+	}
+	return r.prog.CommStream
+}
 
 // execState carries the per-batch bookkeeping of issuing a program.
 type execState struct {
+	// launches is the program's launch list; next indexes the spec the
+	// next launch issues, and so counts the kernels launched.
+	launches   []gpusim.KernelSpec
+	next       int
 	env        graph.Env
 	evalValues bool
-	kernels    int
 	events     int // all events+waits (sync bookkeeping included)
 	profEvents int // events recorded purely for profiling
 	// ev holds the device event each program record produced, by event ID.
@@ -200,11 +321,12 @@ type epochEnd struct {
 
 // resetState clears the runner's reusable execution state for a batch of
 // prog, keeping slice capacity from batch to batch.
-func (r *Runner) resetState(prog *verify.Schedule) *execState {
+func (r *Runner) resetState(prog *verify.Schedule, launches []gpusim.KernelSpec) *execState {
 	st := &r.st
+	st.launches, st.next = launches, 0
 	st.env = nil
 	st.evalValues = false
-	st.kernels, st.events, st.profEvents = 0, 0, 0
+	st.events, st.profEvents = 0, 0
 	st.ev = resize(st.ev, prog.NumEvents)
 	st.seStart = resize(st.seStart, len(r.Plan.Supers))
 	st.unitSpans = st.unitSpans[:0]
@@ -228,10 +350,10 @@ func resize(s []*gpusim.Event, n int) []*gpusim.Event {
 // oracle in dispatch order (catching any dependency-violating schedule);
 // otherwise only timing is simulated.
 func (r *Runner) RunBatch(inputs graph.Env, params graph.Env) BatchResult {
-	prog := r.Program()
+	prog, launches := r.issued()
 	dev := r.Dev
 	dev.Reset()
-	st := r.resetState(prog)
+	st := r.resetState(prog, launches)
 	st.evalValues = inputs != nil
 	if st.evalValues {
 		st.env = make(graph.Env, len(r.Plan.G.Values))
@@ -269,12 +391,15 @@ func (r *Runner) RunBatch(inputs graph.Env, params graph.Env) BatchResult {
 	if r.Cfg.Profile {
 		st.span[1] = r.recordProfEvent(st, 0)
 	}
+	if st.next != len(launches) {
+		panic("wire: the launch list is out of step with its program")
+	}
 	dev.Synchronize()
 
 	res := BatchResult{
 		Metrics:    map[string]float64{},
 		TotalUs:    dev.CPUTimeUs(),
-		Kernels:    st.kernels,
+		Kernels:    st.next,
 		Events:     st.events,
 		ProfEvents: st.profEvents,
 		Env:        st.env,
@@ -325,27 +450,27 @@ func (r *Runner) recordProfEvent(st *execState, stream int) *gpusim.Event {
 }
 
 // issue hands a stretch of the program to the device in issue order. A
-// unit's ops go through dispatchUnit, records keep their device event for
-// the waits naming it, and ring steps launch at the fabric's per-step
-// time. super is the super-epoch the stretch belongs to (-1 for the batch
-// tail); its measured epochs' end records are kept for their metrics.
+// unit's ops go through dispatchUnit, ring steps launch as resolved, and
+// records keep their device event for the waits naming it. super is the
+// super-epoch the stretch belongs to (-1 for the batch tail); its measured
+// epochs' end records are kept for their metrics.
 //
 //astra:hotpath
 func (r *Runner) issue(st *execState, prog *verify.Schedule, super int, order []verify.Pos) {
 	for i := 0; i < len(order); i++ {
 		pos := order[i]
-		op := &prog.Streams[pos.Stream][pos.Index]
+		op := at(prog, pos)
 		switch {
 		case op.Unit != nil:
 			// A unit's ops are contiguous in issue order.
 			j := i + 1
-			for j < len(order) && prog.Streams[order[j].Stream][order[j].Index].Unit == op.Unit {
+			for j < len(order) && at(prog, order[j]).Unit == op.Unit {
 				j++
 			}
-			r.dispatchUnit(st, prog, op.Unit, pos.Stream, order[i:j])
+			r.dispatchUnit(st, op.Unit, pos.Stream, j-i)
 			i = j - 1
 		case op.Kind == verify.OpKernel:
-			r.launch(st, pos.Stream, r.ringStep(prog, op))
+			r.launch(st, pos.Stream)
 		case op.Kind == verify.OpRecord:
 			ev := r.recordEvent(st, pos.Stream)
 			st.ev[op.Event] = ev
@@ -366,8 +491,6 @@ func (r *Runner) issue(st *execState, prog *verify.Schedule, super int, order []
 // same simulated time, so gating on the local events is exactly the global
 // ring dependency; under per-worker noise it is the optimistic bound, and
 // the cluster step still aggregates as the max over workers.
-//
-//astra:hotpath
 func (r *Runner) ringStep(prog *verify.Schedule, op *verify.Op) gpusim.KernelSpec {
 	c := r.Cfg.Comm
 	return gpusim.KernelSpec{
@@ -390,10 +513,10 @@ func unitLabel(u *enumerate.Unit) string {
 	}
 }
 
-// dispatchUnit launches one unit's ops on its stream.
+// dispatchUnit launches the n ops of one unit on its stream.
 //
 //astra:hotpath
-func (r *Runner) dispatchUnit(st *execState, prog *verify.Schedule, u *enumerate.Unit, stream int, ops []verify.Pos) {
+func (r *Runner) dispatchUnit(st *execState, u *enumerate.Unit, stream, n int) {
 	if r.obs != nil && r.traceDetail {
 		t0 := r.Dev.CPUTimeUs()
 		defer func() {
@@ -422,33 +545,18 @@ func (r *Runner) dispatchUnit(st *execState, prog *verify.Schedule, u *enumerate
 	if profileUnit {
 		start = r.recordProfEvent(st, stream)
 	}
-	switch u.Kind {
-	case enumerate.UnitSingle:
-		n := u.Nodes[0]
-		for range ops {
-			if r.Cfg.EmbeddingHostTransfer && (n.Op == graph.OpLookup || n.Op == graph.OpLookupGrad) {
-				// XLA's embedding pathology: the lookup bounces through the
-				// host (§6.6) instead of staying on the device.
-				r.Dev.HostTransfer(stream, int64(n.Out.Shape.NumElements())*8)
-			}
-			r.launch(st, stream, kernels.ForNode(n, r.libFor(u)))
+	// XLA's embedding pathology: each lookup bounces through the host
+	// (§6.6) instead of staying on the device.
+	host := r.Cfg.EmbeddingHostTransfer && u.Kind == enumerate.UnitSingle &&
+		(u.Nodes[0].Op == graph.OpLookup || u.Nodes[0].Op == graph.OpLookupGrad)
+	for range n {
+		if host {
+			r.Dev.HostTransfer(stream, int64(u.Nodes[0].Out.Shape.NumElements())*8)
 		}
-		r.eval(st, n)
-	case enumerate.UnitEWChain:
-		elems := 0
-		for _, n := range u.Nodes {
-			if e := n.Out.Shape.NumElements(); e > elems {
-				elems = e
-			}
-		}
-		for range ops {
-			r.launch(st, stream, kernels.FusedElementwise(len(u.Nodes), elems))
-		}
-		for _, n := range u.Nodes {
-			r.eval(st, n)
-		}
-	case enumerate.UnitGEMMGroup:
-		r.dispatchGroup(st, prog, u, stream, ops)
+		r.launch(st, stream)
+	}
+	for _, node := range u.Nodes {
+		r.eval(st, node)
 	}
 	if profileUnit {
 		st.unitSpans = append(st.unitSpans, unitSpan{u, start, r.recordProfEvent(st, stream)})
@@ -456,8 +564,6 @@ func (r *Runner) dispatchUnit(st *execState, prog *verify.Schedule, u *enumerate
 }
 
 // libFor reads the unit's kernel-library variable (or the default).
-//
-//astra:hotpath
 func (r *Runner) libFor(u *enumerate.Unit) kernels.Library {
 	if v := r.Plan.KernelVars[u]; v != nil {
 		return kernels.Library(v.Current())
@@ -465,35 +571,40 @@ func (r *Runner) libFor(u *enumerate.Unit) kernels.Library {
 	return kernels.CuBLAS
 }
 
-// dispatchGroup launches a fusion group's ops: each GEMM chunk as one
-// GEMM (fused over its members when it has several), each gather copy
-// sized to its chunk's operands, and a ladder's accumulator adds.
-//
-//astra:hotpath
-func (r *Runner) dispatchGroup(st *execState, prog *verify.Schedule, u *enumerate.Unit, stream int, ops []verify.Pos) {
-	grp := u.Group
-	lib := r.libFor(u)
-	for _, pos := range ops {
-		op := &prog.Streams[pos.Stream][pos.Index]
-		members := grp.GEMMs[op.First : op.First+op.Members]
-		switch {
-		case op.Members == 0:
-			// lint:ok escape inlined Elementwise: a ladder's accumulator add concatenates its kernel name; its panic message is cold
-			r.launch(st, stream, kernels.Elementwise("add", grp.GEMMs[0].Out.Shape.NumElements()))
-		case op.Kind == verify.OpCopy:
-			var bytes int64
-			for _, m := range members {
-				bytes += int64(operandBytes(grp, m))
+// unitKernel resolves the kernel a unit's op launches under library lib:
+// a single operator's own kernel, a fused elementwise chain over its
+// widest operand, or a fusion group's op — each GEMM chunk as one GEMM
+// (fused over its members when it has several), each gather copy sized to
+// its chunk's operands, and a ladder's accumulator adds.
+func unitKernel(op *verify.Op, lib kernels.Library) gpusim.KernelSpec {
+	u := op.Unit
+	switch u.Kind {
+	case enumerate.UnitSingle:
+		return kernels.ForNode(u.Nodes[0], lib)
+	case enumerate.UnitEWChain:
+		elems := 0
+		for _, n := range u.Nodes {
+			if e := n.Out.Shape.NumElements(); e > elems {
+				elems = e
 			}
-			r.launch(st, stream, kernels.Copy(bytes))
-		case op.Members == 1:
-			r.launch(st, stream, kernels.ForNode(members[0], lib))
-		default:
-			r.launch(st, stream, kernels.GEMM(lib, fusedShape(grp, members)))
 		}
+		return kernels.FusedElementwise(len(u.Nodes), elems)
 	}
-	for _, node := range u.Nodes {
-		r.eval(st, node)
+	grp := u.Group
+	members := grp.GEMMs[op.First : op.First+op.Members]
+	switch {
+	case op.Members == 0:
+		return kernels.Elementwise("add", grp.GEMMs[0].Out.Shape.NumElements())
+	case op.Kind == verify.OpCopy:
+		var bytes int64
+		for _, m := range members {
+			bytes += int64(operandBytes(grp, m))
+		}
+		return kernels.Copy(bytes)
+	case op.Members == 1:
+		return kernels.ForNode(members[0], lib)
+	default:
+		return kernels.GEMM(lib, fusedShape(grp, members))
 	}
 }
 
@@ -527,13 +638,13 @@ func fusedShape(grp *enumerate.FusionGroup, members []*graph.Node) kernels.GEMMS
 	return s
 }
 
-// launch forwards one kernel spec to the device and counts it.
+// launch issues the launch list's next spec to the device and counts it.
 //
 //astra:hotpath
-func (r *Runner) launch(st *execState, stream int, spec gpusim.KernelSpec) {
+func (r *Runner) launch(st *execState, stream int) {
 	r.Dev.AdvanceCPU(r.Cfg.PerOpCPUUs)
-	r.Dev.Launch(stream, spec)
-	st.kernels++
+	r.Dev.Launch(stream, st.launches[st.next])
+	st.next++
 }
 
 // eval computes a node's value on the CPU oracle, materializing any view

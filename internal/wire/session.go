@@ -29,9 +29,10 @@ type Session struct {
 	Exp    *adapt.Explorer // nil when the plan has no adaptive variables
 
 	// Peers are the other workers of a multi-GPU session (ranks 1..n−1),
-	// each with its own simulated device but sharing the plan — identical
-	// replicas stepping in lockstep, the way synchronous data parallelism
-	// works. Step runs every peer and reports the slowest worker.
+	// each with its own simulated device but issuing rank 0's program and
+	// launch list — identical replicas stepping in lockstep, the way
+	// synchronous data parallelism works. Step runs every peer and reports
+	// the slowest worker.
 	Peers []*Runner
 
 	// EvalValues runs the CPU value oracle each batch (slow; tests and
@@ -202,21 +203,27 @@ func NewSession(m *models.Model, cfg SessionConfig) *Session {
 	s := &Session{
 		Model:        m,
 		Plan:         plan,
-		Runner:       NewRunner(plan, dev, rcfg),
 		Ix:           ix,
 		EvalValues:   cfg.EvalValues,
 		LearningRate: cfg.LearningRate,
 	}
+	if plan.Tree != nil {
+		s.Exp = adapt.NewExplorerPrior(plan.Tree, s.Ix, cfg.ProfileContext, cfg.Prior)
+	}
+	// The explorer has bound the first configuration, so the runner's
+	// first lowering is the program the first batch issues.
+	s.Runner = NewRunner(plan, dev, rcfg)
 	for rank := 1; rank < cfg.Comm.Workers; rank++ {
 		// Each peer simulates its own device. The seed is derived per
 		// rank, so jitter and fault streams are independent across
 		// workers (and still reproducible run to run); with noise off the
-		// replicas are bit-identical.
+		// replicas are bit-identical. The program is rank 0's: the one
+		// verifyStep checks is the one every rank issues.
 		dcfg := cfg.Device
 		dcfg.Seed = cfg.Device.Seed + uint64(rank)*0x9E3779B97F4A7C15
 		prcfg := rcfg
 		prcfg.Comm.Rank = rank
-		s.Peers = append(s.Peers, NewRunner(plan, gpusim.NewDevice(dcfg), prcfg))
+		s.Peers = append(s.Peers, newPeer(s.Runner, gpusim.NewDevice(dcfg), prcfg))
 	}
 	if cfg.EvalValues {
 		s.Params = m.G.InitialParams()
@@ -232,9 +239,6 @@ func NewSession(m *models.Model, cfg SessionConfig) *Session {
 		LaunchOverheadUs: cfg.Device.LaunchOverheadUs,
 		KernelSetupUs:    cfg.Device.KernelSetupUs,
 		Noisy:            cfg.Device.Autoboost || cfg.Device.Faults.Enabled(),
-	}
-	if plan.Tree != nil {
-		s.Exp = adapt.NewExplorerPrior(plan.Tree, s.Ix, cfg.ProfileContext, cfg.Prior)
 	}
 	// Plan-level analyses run once, at wire time.
 	s.recordVerify(verify.CheckPlan(plan))
