@@ -26,6 +26,7 @@ import (
 	"astra/internal/models"
 	"astra/internal/obs"
 	"astra/internal/profile"
+	"astra/internal/verify"
 	"astra/internal/wire"
 )
 
@@ -214,6 +215,66 @@ func TestWiredClusterStepAllocBudget(t *testing.T) {
 		t.Fatalf("wired step ran %d workers and %d comm kernels, want 2 workers exchanging gradients", len(res.WorkerUs), res.CommKernels)
 	}
 	pinAllocs(t, "wired 2-worker Session.Step", 10, 6, func() { s.Step() })
+}
+
+// TestCheckScheduleAllocBudget pins in-session verification of a
+// re-lowered program: once the schedule's happens-before arena has held a
+// program of its size, checking it builds no vector clock, and a clean
+// check forms no binding label. The one allocation is the report. The
+// schedule is the paper-scale subLSTM at batch 16, level FKS, one worker,
+// with every epoch's stream variables at their most spread-out choice.
+func TestCheckScheduleAllocBudget(t *testing.T) {
+	build, _ := models.Get("sublstm")
+	p := enumerate.Enumerate(build(models.DefaultConfig("sublstm", 16)).G, enumerate.PresetOptions(enumerate.PresetFKS))
+	for _, v := range p.StreamVars {
+		v.SetChoice(len(v.Labels) - 1)
+	}
+	s := verify.BuildSchedule(p, verify.Spec{})
+	if r := verify.CheckSchedule(p, s); !r.OK() || len(s.Streams) < 2 {
+		t.Fatalf("schedule over %d streams has findings %v", len(s.Streams), r.Findings)
+	}
+	pinAllocs(t, "CheckSchedule of a checked program", 20, 1, func() { verify.CheckSchedule(p, s) })
+}
+
+// TestExplorerAdvanceAllocBudget pins an exploring trial's explorer work,
+// Observe then Advance, on a trial that freezes nothing: the paper-scale
+// subLSTM at batch 16, level FKS, part-way through exploration, so prefix
+// contexts of frozen siblings are in play. Each derived context comes
+// from its node's memo and each key from its variable's cache, so the
+// walk allocates nothing. Raising the samples a key needs keeps the
+// exploring variable recording into one key (already stored, so the
+// Record allocates nothing either) without freezing it.
+func TestExplorerAdvanceAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("explores a paper-scale model")
+	}
+	shape, err := job.Shape{Model: "sublstm", Scale: job.Default, Batch: 16, Level: "FKS", Workers: 1}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := wire.NewSession(shape.Build(), shape.SessionConfig())
+	for i := 0; i < 600; i++ {
+		s.Step()
+	}
+	e := s.Exp
+	if frozen, total := e.FrozenCount(); e.Done() || frozen == 0 || frozen == total {
+		t.Fatalf("explorer has %d of %d variables frozen, want part-way", frozen, total)
+	}
+	metrics := map[string]float64{}
+	for _, v := range e.Vars() {
+		metrics[v.ID] = 100
+	}
+	s.Ix.SetSamples(1 << 30)
+	trial := func() {
+		e.Observe(metrics)
+		e.Advance()
+	}
+	trial()
+	frozen, _ := e.FrozenCount()
+	pinAllocs(t, "Observe and Advance, nothing freezing", 20, 0, trial)
+	if now, _ := e.FrozenCount(); now != frozen || e.Err() != nil {
+		t.Fatalf("the pinned trials froze %d variables (err %v)", now-frozen, e.Err())
+	}
 }
 
 // TestCostModelPredictAllocBudget pins the cost-model prediction hot path:

@@ -169,6 +169,14 @@ type Tree struct {
 	Children []*Tree // internal nodes
 
 	comp *Var // synthetic composite variable for Exhaustive nodes
+
+	// vars caches Vars: the tree's shape is fixed once built, and the
+	// explorer walks it on every trial.
+	vars []*Var
+	// ctxs memoizes the context strings the explorer derives at this node
+	// (see explorer.go); a context that did not change is the same string
+	// from one trial to the next.
+	ctxs []ctxMemo
 }
 
 // LeafNode wraps a variable as a leaf.
@@ -220,11 +228,14 @@ func tupleLabels(children []*Tree) []string {
 func (t *Tree) CompositeVar() *Var { return t.comp }
 
 // Vars returns every variable in the subtree (composite variables of
-// Exhaustive nodes included), in walk order.
+// Exhaustive nodes included), in walk order. The slice is shared: callers
+// must not modify it.
 func (t *Tree) Vars() []*Var {
-	var out []*Var
-	t.walkVars(&out)
-	return out
+	if t.vars == nil {
+		t.walkVars(&t.vars)
+		t.vars = t.vars[:len(t.vars):len(t.vars)]
+	}
+	return t.vars
 }
 
 func (t *Tree) walkVars(out *[]*Var) {

@@ -2,7 +2,6 @@ package adapt
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 
 	"astra/internal/obs"
@@ -366,32 +365,87 @@ func (e *Explorer) setupLeaf(v *Var, ctx string) bool {
 // siblings accumulate into the context: rebuilding it from only the
 // immediately-preceding sibling would let a change in child A's frozen
 // choice go unnoticed by child C whenever child B's digest repeats.
+//
+// Each derived context comes from the node's memo (see ctxMemo), so a walk
+// that changes no digest builds no string.
+//
+//astra:hotpath
 func (e *Explorer) setupPrefix(t *Tree, ctx string) bool {
+	n := len(t.Children)
+	if len(t.ctxs) != 2*n {
+		// lint:ok escape the node's memo, sized on its first walk
+		t.ctxs = make([]ctxMemo, 2*n)
+	}
 	childCtx := ctx
 	for i, child := range t.Children {
-		done := e.setup(child, childCtx)
-		if !done {
+		if !e.setup(child, childCtx) {
+			// Slot n+i: the pending context of the siblings after child i.
+			m := &t.ctxs[n+i]
+			if m.out == "" || m.in != childCtx {
+				// lint:ok escape rebuilt only when child i's context changed
+				m.in, m.out = childCtx, childCtx+"/pending"
+			}
 			for _, later := range t.Children[i+1:] {
-				e.pin(later, childCtx+"/pending")
+				e.pin(later, m.out)
 			}
 			return false
 		}
-		childCtx = childCtx + "/" + t.Title + ":" + digest(child)
+		if i == n-1 {
+			break
+		}
+		// Slot i: the context of the siblings after child i once it froze.
+		d := digest(child)
+		m := &t.ctxs[i]
+		if m.out == "" || m.key != d || m.in != childCtx {
+			// lint:ok escape rebuilt only when child i's context or digest changed
+			m.in, m.key, m.out = childCtx, d, childCtx+"/"+t.Title+":"+fmt.Sprintf("%08x", d)
+		}
+		childCtx = m.out
 	}
 	return true
 }
 
+// ctxMemo is one context string an internal node derives from its input
+// context, with the inputs it was built from. It is keyed on content, not
+// on explorer state: a walk that reaches the node with the same context and
+// key reuses the string, whatever happened in between (a thaw, a
+// re-exploration), and anything else rebuilds it. Reusing the string
+// keeps the variables' own per-context caches (Var.KeyFor, the prior plan)
+// hitting on a pointer-equal comparison.
+type ctxMemo struct {
+	in  string // the input context
+	key uint32 // the child's digest (prefix nodes); unused elsewhere
+	out string // the derived context; "" until first built
+}
+
+// FNV-1a, 32-bit: the parameters of hash/fnv's New32a.
+const (
+	fnvOffset32 = 2166136261
+	fnvPrime32  = 16777619
+)
+
 // digest summarises the frozen choices of a subtree compactly for use as a
-// context component.
-func digest(t *Tree) string {
-	h := fnv.New32a()
+// context component: the FNV-1a hash of "ID=label;" for each variable in
+// walk order, equal to hash/fnv's New32a over the same bytes. It is
+// formatted (as %08x) only when a context string is built from it.
+//
+//astra:hotpath
+func digest(t *Tree) uint32 {
+	h := uint32(fnvOffset32)
 	for _, v := range t.Vars() {
-		h.Write([]byte(v.ID))
-		h.Write([]byte{'='})
-		h.Write([]byte(v.CurrentLabel()))
-		h.Write([]byte{';'})
+		h = fnvString(h, v.ID)
+		h = (h ^ '=') * fnvPrime32
+		h = fnvString(h, v.CurrentLabel())
+		h = (h ^ ';') * fnvPrime32
 	}
-	return fmt.Sprintf("%08x", h.Sum32())
+	return h
+}
+
+func fnvString(h uint32, s string) uint32 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * fnvPrime32
+	}
+	return h
 }
 
 // pin assigns a non-final context to a subtree and marks it unrecordable:
@@ -485,8 +539,17 @@ func (e *Explorer) setupFork(t *Tree, ctx string) bool {
 	sub := t.Children[1]
 	policy.ctx = ctx
 	policy.record = false
+	if len(t.ctxs) != len(policy.Labels) {
+		t.ctxs = make([]ctxMemo, len(policy.Labels))
+	}
+	// subCtx is the subtree's context under the current policy choice,
+	// from the node's memo: slot c holds choice c's.
 	subCtx := func() string {
-		return ctx + "/" + policy.ID + "=" + policy.CurrentLabel()
+		m := &t.ctxs[policy.current]
+		if m.out == "" || m.in != ctx {
+			m.in, m.out = ctx, ctx+"/"+policy.ID+"="+policy.CurrentLabel()
+		}
+		return m.out
 	}
 	if policy.frozen && policy.frozenCtx == ctx {
 		e.setup(sub, subCtx())

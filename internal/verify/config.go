@@ -10,14 +10,16 @@ import (
 
 // CheckSchedule runs the configuration-level analyses over a symbolic
 // schedule: deadlock, cross-stream races, end-of-batch synchronization,
-// fusion legality, and comm-bucket coverage and ordering. The config string
-// labels findings with the variable bindings the schedule was built under.
-func CheckSchedule(p *enumerate.Plan, s *Schedule, config string) *Report {
+// fusion legality, and comm-bucket coverage and ordering. s must be the
+// lowering of the plan's current bindings: findings carry
+// BindingLabel(p) as their Config.
+func CheckSchedule(p *enumerate.Plan, s *Schedule) *Report {
 	r := &Report{}
+	f := findings{p: p, r: r}
 	hb := simulate(s)
 	if hb.deadlocked {
 		for _, bl := range hb.blocked {
-			r.Add("sched.deadlock", config, bl)
+			f.add("sched.deadlock", bl)
 		}
 		// With streams stalled, no other temporal property is meaningful.
 		return r
@@ -28,7 +30,7 @@ func CheckSchedule(p *enumerate.Plan, s *Schedule, config string) *Report {
 	for _, u := range p.Units {
 		first, ok := s.FirstOp[u]
 		if !ok {
-			r.Add("sched.race", config, fmt.Sprintf("unit %s never dispatched", u.ID))
+			f.add("sched.race", fmt.Sprintf("unit %s never dispatched", u.ID))
 			continue
 		}
 		for _, d := range u.Deps {
@@ -37,7 +39,7 @@ func CheckSchedule(p *enumerate.Plan, s *Schedule, config string) *Report {
 				continue // reported as never-dispatched above
 			}
 			if !hb.happensBefore(last, first) {
-				r.Add("sched.race", config, fmt.Sprintf("unit %s (stream %d) reads unit %s (stream %d) without a happens-before edge", u.ID, first.Stream, d.ID, last.Stream))
+				f.add("sched.race", fmt.Sprintf("unit %s (stream %d) reads unit %s (stream %d) without a happens-before edge", u.ID, first.Stream, d.ID, last.Stream))
 			}
 		}
 	}
@@ -48,7 +50,7 @@ func CheckSchedule(p *enumerate.Plan, s *Schedule, config string) *Report {
 	// dropped barrier shows up here.
 	end := Pos{Stream: 0, Index: len(s.Streams[0]) - 1}
 	if end.Index < 0 || s.Streams[0][end.Index].Kind != OpEnd {
-		r.Add("sched.endsync", config, "schedule has no batch-end marker on stream 0")
+		f.add("sched.endsync", "schedule has no batch-end marker on stream 0")
 	} else {
 		for st, ops := range s.Streams {
 			for i, op := range ops {
@@ -59,7 +61,7 @@ func CheckSchedule(p *enumerate.Plan, s *Schedule, config string) *Report {
 					continue // program order
 				}
 				if !hb.happensBefore(Pos{Stream: st, Index: i}, end) {
-					r.Add("sched.endsync", config, fmt.Sprintf("kernel %q on stream %d is not synchronized before batch end", op.Label(), st))
+					f.add("sched.endsync", fmt.Sprintf("kernel %q on stream %d is not synchronized before batch end", op.Label(), st))
 				}
 			}
 		}
@@ -79,29 +81,43 @@ func CheckSchedule(p *enumerate.Plan, s *Schedule, config string) *Report {
 			if i > 0 && ops[i-1].Kind == OpCopy && ops[i-1].Group == op.Group {
 				continue
 			}
-			r.Add("sched.fusion", config, fmt.Sprintf("fused chunk of %s (%d members, stream %d) has non-contiguous operands and no gather copy", op.Group.ID, op.Members, st))
+			f.add("sched.fusion", fmt.Sprintf("fused chunk of %s (%d members, stream %d) has non-contiguous operands and no gather copy", op.Group.ID, op.Members, st))
 		}
 	}
 
-	r.Merge(checkComm(p, s, hb, config))
+	checkComm(p, s, hb, &f)
 	return r
+}
+
+// findings adds one schedule check's findings to its report. Their Config
+// label is formed on the first one, so a clean check never builds it.
+type findings struct {
+	p     *enumerate.Plan
+	r     *Report
+	label string
+}
+
+func (f *findings) add(check, detail string) {
+	if f.label == "" {
+		f.label = BindingLabel(f.p)
+	}
+	f.r.Add(check, f.label, detail)
 }
 
 // checkComm validates the gradient exchange: every gradient in exactly one
 // bucket (the schedule's packing must match an independent repacking), each
 // bucket issuing exactly 2·(n−1) ring steps on one stream, and each
 // bucket's first step ordered after every one of its producing units.
-func checkComm(p *enumerate.Plan, s *Schedule, hb *hbResult, config string) *Report {
-	r := &Report{}
+func checkComm(p *enumerate.Plan, s *Schedule, hb *hbResult, f *findings) {
 	if s.Workers < 2 || len(p.Grads) == 0 {
 		if len(s.Buckets) > 0 {
-			r.Add("comm.coverage", config, fmt.Sprintf("schedule has %d buckets but no gradient exchange is configured", len(s.Buckets)))
+			f.add("comm.coverage", fmt.Sprintf("schedule has %d buckets but no gradient exchange is configured", len(s.Buckets)))
 		}
-		return r
+		return
 	}
 	want := packBuckets(p, s.BucketCapBytes)
 	if len(s.Buckets) != len(want) {
-		r.Add("comm.coverage", config, fmt.Sprintf("schedule packs %d buckets, repacking gives %d", len(s.Buckets), len(want)))
+		f.add("comm.coverage", fmt.Sprintf("schedule packs %d buckets, repacking gives %d", len(s.Buckets), len(want)))
 	}
 	var gotGrads, wantGrads int
 	for _, b := range s.Buckets {
@@ -111,11 +127,11 @@ func checkComm(p *enumerate.Plan, s *Schedule, hb *hbResult, config string) *Rep
 		wantGrads += b.Grads
 	}
 	if gotGrads != len(p.Grads) || wantGrads != len(p.Grads) {
-		r.Add("comm.coverage", config, fmt.Sprintf("buckets cover %d gradients, plan has %d", gotGrads, len(p.Grads)))
+		f.add("comm.coverage", fmt.Sprintf("buckets cover %d gradients, plan has %d", gotGrads, len(p.Grads)))
 	}
 	for i := range s.Buckets {
 		if i < len(want) && (s.Buckets[i].Bytes != want[i].Bytes || s.Buckets[i].Grads != want[i].Grads) {
-			r.Add("comm.coverage", config, fmt.Sprintf("bucket %d packs %d gradients / %d bytes, repacking gives %d / %d", i, s.Buckets[i].Grads, s.Buckets[i].Bytes, want[i].Grads, want[i].Bytes))
+			f.add("comm.coverage", fmt.Sprintf("bucket %d packs %d gradients / %d bytes, repacking gives %d / %d", i, s.Buckets[i].Grads, s.Buckets[i].Bytes, want[i].Grads, want[i].Bytes))
 		}
 	}
 
@@ -132,7 +148,7 @@ func checkComm(p *enumerate.Plan, s *Schedule, hb *hbResult, config string) *Rep
 	for i, b := range s.Buckets {
 		ps := steps[i]
 		if len(ps) != wantSteps {
-			r.Add("comm.steps", config, fmt.Sprintf("bucket %d has %d ring steps, want %d", i, len(ps), wantSteps))
+			f.add("comm.steps", fmt.Sprintf("bucket %d has %d ring steps, want %d", i, len(ps), wantSteps))
 		}
 		if len(ps) == 0 {
 			continue
@@ -141,7 +157,7 @@ func checkComm(p *enumerate.Plan, s *Schedule, hb *hbResult, config string) *Rep
 		first := ps[0]
 		for _, pos := range ps[1:] {
 			if pos.Stream != stream {
-				r.Add("comm.steps", config, fmt.Sprintf("bucket %d spreads ring steps over streams %d and %d", i, stream, pos.Stream))
+				f.add("comm.steps", fmt.Sprintf("bucket %d spreads ring steps over streams %d and %d", i, stream, pos.Stream))
 			}
 			if pos.Index < first.Index && pos.Stream == first.Stream {
 				first = pos
@@ -155,16 +171,15 @@ func checkComm(p *enumerate.Plan, s *Schedule, hb *hbResult, config string) *Rep
 				continue
 			}
 			if !hb.happensBefore(last, first) {
-				r.Add("comm.order", config, fmt.Sprintf("bucket %d launches before its producer %s (stream %d) completes", i, u.ID, last.Stream))
+				f.add("comm.order", fmt.Sprintf("bucket %d launches before its producer %s (stream %d) completes", i, u.ID, last.Stream))
 			}
 		}
 	}
 	for bi := range steps {
 		if bi >= len(s.Buckets) {
-			r.Add("comm.coverage", config, fmt.Sprintf("ring steps reference unknown bucket %d", bi))
+			f.add("comm.coverage", fmt.Sprintf("ring steps reference unknown bucket %d", bi))
 		}
 	}
-	return r
 }
 
 // packBuckets independently repacks the plan's gradients under a byte cap
@@ -199,8 +214,7 @@ func packBuckets(p *enumerate.Plan, capBytes int64) []Bucket {
 // them to the op program the wirer would issue and runs every
 // configuration-level analysis on it.
 func CheckConfig(p *enumerate.Plan, spec Spec) *Report {
-	s := BuildSchedule(p, spec)
-	r := CheckSchedule(p, s, BindingLabel(p))
+	r := CheckSchedule(p, BuildSchedule(p, spec))
 	r.Configs = 1
 	return r
 }
@@ -282,6 +296,9 @@ func SweepConfigs(p *enumerate.Plan, spec Spec) *Report {
 	}
 
 	seen := map[string]bool{}
+	// One schedule is re-lowered for every configuration, as the wirer
+	// re-lowers its program.
+	s := &Schedule{}
 	check := func() {
 		sig := Signature(p)
 		if seen[sig] {
@@ -289,8 +306,8 @@ func SweepConfigs(p *enumerate.Plan, spec Spec) *Report {
 		}
 		seen[sig] = true
 		r.Configs++
-		s := BuildSchedule(p, spec)
-		r.Merge(CheckSchedule(p, s, BindingLabel(p)))
+		s.Lower(p, spec)
+		r.Merge(CheckSchedule(p, s))
 	}
 
 	check() // all-defaults baseline

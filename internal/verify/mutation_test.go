@@ -171,7 +171,7 @@ func TestCheckScheduleDetectsDeadlock(t *testing.T) {
 	if !mutated {
 		t.Fatal("schedule has no waits to corrupt")
 	}
-	r := CheckSchedule(p, s, "mutant")
+	r := CheckSchedule(p, s)
 	if !hasCheck(r, "sched.deadlock") {
 		t.Fatalf("deadlock not detected; findings: %v", r.Findings)
 	}
@@ -180,7 +180,7 @@ func TestCheckScheduleDetectsDeadlock(t *testing.T) {
 func TestCheckScheduleDetectsRace(t *testing.T) {
 	p := planFor(t, "scrnn")
 	bindMultiStream(p)
-	if r := CheckSchedule(p, BuildSchedule(p, mutSpec()), "base"); !r.OK() {
+	if r := CheckSchedule(p, BuildSchedule(p, mutSpec())); !r.OK() {
 		t.Fatalf("baseline schedule not clean: %v", r.Findings)
 	}
 	// Drop synchronization edges one at a time (a wait becomes an inert
@@ -195,7 +195,7 @@ func TestCheckScheduleDetectsRace(t *testing.T) {
 			s := BuildSchedule(p, mutSpec())
 			s.Streams[st][i] = Op{Kind: OpRecord, Name: "dropped-wait", Event: s.NumEvents, Bucket: -1}
 			s.NumEvents++
-			if r := CheckSchedule(p, s, "mutant"); hasCheck(r, "sched.race") {
+			if r := CheckSchedule(p, s); hasCheck(r, "sched.race") {
 				return // detected
 			}
 		}
@@ -224,14 +224,14 @@ func TestCheckScheduleDetectsIllegalFusion(t *testing.T) {
 	if fused == 0 {
 		t.Fatal("no fused kernels under maximal chunking")
 	}
-	if r := CheckSchedule(p, s, "base"); !r.OK() {
+	if r := CheckSchedule(p, s); !r.OK() {
 		t.Fatalf("baseline schedule not clean: %v", r.Findings)
 	}
 	// Mutation 1: swap in an allocation strategy that satisfies no
 	// contiguity request. Fused chunks built without gather copies (on the
 	// strength of the old strategy's layout) are now reading garbage.
 	s.Alloc = memory.ManualStrategy("satisfies-nothing", nil, nil, 0)
-	if r := CheckSchedule(p, s, "mutant-alloc"); hasCheck(r, "sched.fusion") {
+	if r := CheckSchedule(p, s); hasCheck(r, "sched.fusion") {
 		return
 	}
 	// Mutation 2: detach a gather copy from its group — the fused chunk
@@ -251,7 +251,7 @@ func TestCheckScheduleDetectsIllegalFusion(t *testing.T) {
 		}
 	}
 	if detached {
-		if r := CheckSchedule(p, s, "mutant-copy"); hasCheck(r, "sched.fusion") {
+		if r := CheckSchedule(p, s); hasCheck(r, "sched.fusion") {
 			return
 		}
 	}
@@ -265,11 +265,11 @@ func TestCheckScheduleDetectsBucketCorruption(t *testing.T) {
 	if len(s.Buckets) == 0 {
 		t.Fatal("schedule has no comm buckets")
 	}
-	if r := CheckSchedule(p, s, "base"); !r.OK() {
+	if r := CheckSchedule(p, s); !r.OK() {
 		t.Fatalf("baseline schedule not clean: %v", r.Findings)
 	}
 	s.Buckets = s.Buckets[:len(s.Buckets)-1] // a bucket's gradients vanish
-	r := CheckSchedule(p, s, "mutant")
+	r := CheckSchedule(p, s)
 	if !hasCheck(r, "comm.coverage") {
 		t.Fatalf("bucket corruption not detected; findings: %v", r.Findings)
 	}
@@ -303,7 +303,7 @@ func TestCheckScheduleDetectsEarlyBucketLaunch(t *testing.T) {
 			s := BuildSchedule(p, mutSpec())
 			s.Streams[st][i] = Op{Kind: OpRecord, Name: "dropped-ready-wait", Event: s.NumEvents, Bucket: -1}
 			s.NumEvents++
-			if r := CheckSchedule(p, s, "mutant"); hasCheck(r, "comm.order") {
+			if r := CheckSchedule(p, s); hasCheck(r, "comm.order") {
 				return
 			}
 		}
@@ -323,7 +323,7 @@ func TestCheckScheduleDetectsMissingEndSync(t *testing.T) {
 	}
 	s.Streams[0][last] = Op{Kind: OpRecord, Name: "not-an-end", Event: s.NumEvents, Bucket: -1}
 	s.NumEvents++
-	r := CheckSchedule(p, s, "mutant")
+	r := CheckSchedule(p, s)
 	if !hasCheck(r, "sched.endsync") {
 		t.Fatalf("missing end marker not detected; findings: %v", r.Findings)
 	}

@@ -42,7 +42,7 @@ func TestQuickRandomBindingsScheduleSafe(t *testing.T) {
 			v.SetChoice(rng.Intn(len(v.Labels)))
 		}
 		s := BuildSchedule(p, Spec{Workers: 2})
-		r := CheckSchedule(p, s, "quick")
+		r := CheckSchedule(p, s)
 		if !r.OK() {
 			t.Logf("seed %d: %v", seed, r.Findings)
 		}

@@ -136,6 +136,10 @@ type Schedule struct {
 	FirstOp, LastOp map[*enumerate.Unit]Pos
 
 	b builder
+	// hb is the happens-before analysis's arena (see simulate), kept with
+	// its schedule like the builder so re-checking a re-lowered program
+	// reuses it.
+	hb hbResult
 }
 
 // builder is the lowering's scratch state, kept with its schedule so a

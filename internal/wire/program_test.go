@@ -68,7 +68,7 @@ func TestSessionChecksRunnerProgram(t *testing.T) {
 		}
 		probe := verify.BuildSchedule(p, verify.Spec{})
 		dropWait(probe, pos)
-		if reports(verify.CheckSchedule(p, probe, "probe"), "sched.race") {
+		if reports(verify.CheckSchedule(p, probe), "sched.race") {
 			victim = pos
 			break
 		}

@@ -124,6 +124,10 @@ type Runner struct {
 
 	// st is the reusable per-batch execution state.
 	st execState
+	// metrics is how many entries the last batch's metrics map held: the
+	// next batch's map is presized to it, since successive batches
+	// measure much the same variables.
+	metrics int
 }
 
 // Instrument attaches a telemetry bundle; subsequent batches emit dispatch
@@ -397,7 +401,7 @@ func (r *Runner) RunBatch(inputs graph.Env, params graph.Env) BatchResult {
 	dev.Synchronize()
 
 	res := BatchResult{
-		Metrics:    map[string]float64{},
+		Metrics:    make(map[string]float64, r.metrics),
 		TotalUs:    dev.CPUTimeUs(),
 		Kernels:    st.next,
 		Events:     st.events,
@@ -410,6 +414,7 @@ func (r *Runner) RunBatch(inputs graph.Env, params graph.Env) BatchResult {
 	if r.Cfg.Profile {
 		r.extractMetrics(st, &res)
 	}
+	r.metrics = len(res.Metrics)
 	if r.obs != nil {
 		r.obs.Trace.AddSpan(obs.PIDDispatch, obs.TIDWirer, "dispatch batch", "wirer",
 			r.traceOffsetUs, res.TotalUs, map[string]interface{}{

@@ -280,7 +280,7 @@ func (s *Session) verifyStep() {
 		return
 	}
 	s.verified = s.Runner.lowerings
-	r := verify.CheckSchedule(s.Plan, prog, verify.BindingLabel(s.Plan))
+	r := verify.CheckSchedule(s.Plan, prog)
 	r.Configs = 1
 	s.recordVerify(r)
 }
