@@ -128,8 +128,8 @@ func TestKernelClassAllocBudget(t *testing.T) {
 // TestWiredStepAllocBudget pins the full wired mini-batch (dispatch + DES
 // simulation) for the paper-scale subLSTM (down from ~13.3k before
 // pooling, and from 2321 before the launch list: the kernel specs, names
-// included, are resolved once per program rather than once per batch).
-// The two left build the batch's metrics map.
+// included, are resolved once per program rather than once per batch, and
+// from 2 before the runner kept one metrics map for every batch).
 func TestWiredStepAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("explores a paper-scale model")
@@ -143,13 +143,14 @@ func TestWiredStepAllocBudget(t *testing.T) {
 	})
 	s.Explore()
 	s.Step()
-	pinAllocs(t, "wired step", 10, 2, func() { s.Step() })
+	pinAllocs(t, "wired step", 10, 0, func() { s.Step() })
 }
 
 // TestWiredEvalBatchAllocBudget pins a wired batch that also computes
 // values through the CPU oracle (wire's eval on every unit), with the
 // profiling span records on, for a tiny subLSTM. The count is the
-// oracle's own tensors: the kernel specs come from the launch list.
+// oracle's own tensors: the kernel specs come from the launch list, and
+// the metrics map is the runner's.
 func TestWiredEvalBatchAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the -short runs are the instrumented ones (make race, make cover-check), and instrumentation shifts the oracle's count")
@@ -168,12 +169,13 @@ func TestWiredEvalBatchAllocBudget(t *testing.T) {
 	if res := r.RunBatch(in, s.Params); res.Env[m.G.Loss] == nil || res.ProfEvents == 0 {
 		t.Fatal("wired batch computed no loss or recorded no profiling events")
 	}
-	pinAllocs(t, "wired batch with values", 10, 1485, func() { r.RunBatch(in, s.Params) })
+	pinAllocs(t, "wired batch with values", 10, 1483, func() { r.RunBatch(in, s.Params) })
 }
 
 // TestWiredCommBatchAllocBudget pins a wired 2-worker RunBatch replaying
 // the runner's cached program: the comm path (bucket readiness events,
 // ring steps, comm accounting) the single-worker step above never takes.
+// It allocates nothing.
 func TestWiredCommBatchAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("explores a paper-scale model")
@@ -194,13 +196,14 @@ func TestWiredCommBatchAllocBudget(t *testing.T) {
 	if res := r.RunBatch(nil, nil); res.CommKernels == 0 {
 		t.Fatal("wired batch exchanged no gradients")
 	}
-	pinAllocs(t, "wired 2-worker batch", 10, 2, func() { r.RunBatch(nil, nil) })
+	pinAllocs(t, "wired 2-worker batch", 10, 0, func() { r.RunBatch(nil, nil) })
 }
 
 // TestWiredClusterStepAllocBudget pins perfbench wired-dp's op: one wired
 // Session.Step of the paper-scale scrnn at batch 16, level FKS, over two
-// workers on PCIe 3. The peer issues rank 0's program and launch list, so
-// the count is each worker's metrics map plus the step's worker-time list.
+// workers on PCIe 3. The peer issues rank 0's program and launch list, and
+// each runner refills its own metrics map, so the count is the step's
+// worker-time list: two appends.
 func TestWiredClusterStepAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("explores a paper-scale model")
@@ -214,7 +217,7 @@ func TestWiredClusterStepAllocBudget(t *testing.T) {
 	if res := s.Step(); len(res.WorkerUs) != 2 || res.CommKernels == 0 {
 		t.Fatalf("wired step ran %d workers and %d comm kernels, want 2 workers exchanging gradients", len(res.WorkerUs), res.CommKernels)
 	}
-	pinAllocs(t, "wired 2-worker Session.Step", 10, 6, func() { s.Step() })
+	pinAllocs(t, "wired 2-worker Session.Step", 10, 2, func() { s.Step() })
 }
 
 // TestCheckScheduleAllocBudget pins in-session verification of a

@@ -41,11 +41,11 @@ func buildMLP(seed uint64) *testModel {
 	const batch, vocab, emb, hid, classes = 3, 7, 4, 6, 5
 	ids := g.Input("ids", batch, 1)
 	targets := g.Input("targets", batch, 1)
-	table := g.Param("emb", tensor.Randn(rng, 0.5, vocab, emb))
-	w1 := g.Param("w1", tensor.Randn(rng, 0.5, emb, hid))
-	w2 := g.Param("w2", tensor.Randn(rng, 0.5, emb, hid))
-	bias := g.Param("b1", tensor.Randn(rng, 0.5, 1, hid))
-	wo := g.Param("wo", tensor.Randn(rng, 0.5, hid, classes))
+	table := g.Param("emb", graph.Gaussian(rng, 0.5, vocab, emb))
+	w1 := g.Param("w1", graph.Gaussian(rng, 0.5, emb, hid))
+	w2 := g.Param("w2", graph.Gaussian(rng, 0.5, emb, hid))
+	bias := g.Param("b1", graph.Gaussian(rng, 0.5, 1, hid))
+	wo := g.Param("wo", graph.Gaussian(rng, 0.5, hid, classes))
 
 	var logits *graph.Value
 	b.InScope("mlp", func() {
@@ -171,9 +171,9 @@ func TestBackwardCreatesFusionLadders(t *testing.T) {
 	b := graph.NewBuilder(g)
 	x := g.Input("x", 2, 4)
 	targets := g.Input("targets", 2, 1)
-	w1 := g.Param("w1", tensor.Randn(rng, 0.5, 4, 4))
-	w2 := g.Param("w2", tensor.Randn(rng, 0.5, 4, 4))
-	wo := g.Param("wo", tensor.Randn(rng, 0.5, 4, 3))
+	w1 := g.Param("w1", graph.Gaussian(rng, 0.5, 4, 4))
+	w2 := g.Param("w2", graph.Gaussian(rng, 0.5, 4, 4))
+	wo := g.Param("wo", graph.Gaussian(rng, 0.5, 4, 3))
 	h := b.Add(b.MatMul(x, w1), b.MatMul(x, w2))
 	b.CrossEntropy(b.MatMul(h, wo), targets)
 	if _, err := Backward(g); err != nil {
@@ -213,8 +213,8 @@ func TestBackwardSkipsDeadBranches(t *testing.T) {
 	b := graph.NewBuilder(g)
 	x := g.Input("x", 2, 3)
 	targets := g.Input("targets", 2, 1)
-	w := g.Param("w", tensor.Randn(rng, 0.5, 3, 4))
-	dead := g.Param("dead", tensor.Randn(rng, 0.5, 3, 4))
+	w := g.Param("w", graph.Gaussian(rng, 0.5, 3, 4))
+	dead := g.Param("dead", graph.Gaussian(rng, 0.5, 3, 4))
 	b.MatMul(x, dead) // unused result
 	b.CrossEntropy(b.MatMul(x, w), targets)
 	grads, err := Backward(g)
@@ -255,8 +255,8 @@ func TestAttentionOpsGradients(t *testing.T) {
 	b := graph.NewBuilder(g)
 	x := g.Input("x", 3, 4)
 	targets := g.Input("targets", 3, 1)
-	ws := g.Param("ws", tensor.Randn(rng, 0.5, 4, 1))
-	wo := g.Param("wo", tensor.Randn(rng, 0.5, 4, 3))
+	ws := g.Param("ws", graph.Gaussian(rng, 0.5, 4, 1))
+	wo := g.Param("wo", graph.Gaussian(rng, 0.5, 4, 3))
 	s := b.MatMul(x, ws)                 // [3,1] per-row score
 	weighted := b.ScaleCols(x, s)        // attention-style weighting
 	pooled := b.RowSums(weighted)        // [3,1]

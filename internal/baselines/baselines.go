@@ -48,18 +48,7 @@ func RunNative(g *graph.Graph, dev *gpusim.Device, fw Framework, inputs, params 
 		for _, v := range g.Inputs {
 			env[v] = inputs[v]
 		}
-		for _, v := range g.Values {
-			if v.ConstData == nil {
-				continue
-			}
-			if params != nil {
-				if t, ok := params[v]; ok {
-					env[v] = t
-					continue
-				}
-			}
-			env[v] = v.ConstData
-		}
+		g.BindConsts(env, params)
 	}
 	res := Result{}
 	for _, n := range g.Nodes {

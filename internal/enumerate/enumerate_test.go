@@ -5,7 +5,6 @@ import (
 
 	"astra/internal/graph"
 	"astra/internal/models"
-	"astra/internal/tensor"
 )
 
 func tinyPlan(t *testing.T, name string, preset Preset) (*models.Model, *Plan) {
@@ -24,11 +23,11 @@ func TestPaperExampleSharedArgFusion(t *testing.T) {
 	g := graph.New()
 	b := graph.NewBuilder(g)
 	x := g.Input("x", 4, 8) // %1
-	w1 := g.Param("w1", tensor.New(8, 16))
-	w2 := g.Param("w2", tensor.New(8, 16))
+	w1 := g.Param("w1", graph.Zeros(8, 16))
+	w2 := g.Param("w2", graph.Zeros(8, 16))
 	tgt := g.Input("t", 4, 1)
 	h := b.Add(b.MatMul(x, w1), b.MatMul(x, w2))
-	b.CrossEntropy(b.MatMul(h, g.Param("wo", tensor.New(16, 3))), tgt)
+	b.CrossEntropy(b.MatMul(h, g.Param("wo", graph.Zeros(16, 3))), tgt)
 	p := Enumerate(g, PresetOptions(PresetF))
 	if len(p.Groups) == 0 {
 		t.Fatal("no fusion groups found")
@@ -52,7 +51,7 @@ func TestDependentGEMMsNotFused(t *testing.T) {
 	g := graph.New()
 	b := graph.NewBuilder(g)
 	x := g.Input("x", 4, 4)
-	w := g.Param("w", tensor.New(4, 4))
+	w := g.Param("w", graph.Zeros(4, 4))
 	tgt := g.Input("t", 4, 1)
 	inner := b.MatMul(x, w)
 	outer := b.MatMul(x, inner)
@@ -71,8 +70,8 @@ func TestLadderDetection(t *testing.T) {
 	b := graph.NewBuilder(g)
 	a1 := g.Input("a1", 4, 8)
 	a2 := g.Input("a2", 4, 8)
-	w1 := g.Param("w1", tensor.New(8, 8))
-	w2 := g.Param("w2", tensor.New(8, 8))
+	w1 := g.Param("w1", graph.Zeros(8, 8))
+	w2 := g.Param("w2", graph.Zeros(8, 8))
 	tgt := g.Input("t", 4, 1)
 	sum := b.Add(b.MatMul(a1, w1), b.MatMul(a2, w2))
 	b.CrossEntropy(sum, tgt)
@@ -97,8 +96,8 @@ func TestLadderNotDetectedWhenIntermediateShared(t *testing.T) {
 	g := graph.New()
 	b := graph.NewBuilder(g)
 	a1 := g.Input("a1", 4, 8)
-	w1 := g.Param("w1", tensor.New(8, 8))
-	w2 := g.Param("w2", tensor.New(8, 8))
+	w1 := g.Param("w1", graph.Zeros(8, 8))
+	w2 := g.Param("w2", graph.Zeros(8, 8))
 	tgt := g.Input("t", 4, 1)
 	m1 := b.MatMul(a1, w1)
 	m2 := b.MatMul(a1, w2) // shares a1: may fuse as shared-left instead

@@ -328,7 +328,7 @@ func (ub *unitBuilder) collectCrossStepCandidates() []candidate {
 			continue
 		}
 		w := ub.operandRoot(n.Inputs[1])
-		if w.Producer != nil || w.ConstData == nil {
+		if w.Producer != nil || !w.IsConst() {
 			continue // the shared right operand must be a weight
 		}
 		k := key{scope: n.Prov.Scope, pass: n.Prov.Pass, shared: w}

@@ -197,30 +197,37 @@ func (g *Graph) Run(inputs Env, params Env) Env {
 		}
 		env[v] = t
 	}
-	for _, v := range g.Values {
-		if v.ConstData == nil {
-			continue
-		}
-		if params != nil {
-			if t, ok := params[v]; ok {
-				env[v] = t
-				continue
-			}
-		}
-		env[v] = v.ConstData
-	}
+	g.BindConsts(env, params)
 	for _, n := range g.Nodes {
 		EvalNode(n, env)
 	}
 	return env
 }
 
-// InitialParams returns a fresh binding of every parameter to a copy of its
-// initial value, suitable for a training session that updates weights.
+// BindConsts binds every parameter and constant of g in env: to its tensor
+// in params where params binds it (a nil params binds none), else to its
+// own data, made on first use.
+func (g *Graph) BindConsts(env, params Env) {
+	for _, v := range g.Values {
+		if !v.IsConst() {
+			continue
+		}
+		if t, ok := params[v]; ok {
+			env[v] = t
+			continue
+		}
+		env[v] = v.Data()
+	}
+}
+
+// InitialParams returns a fresh binding of every parameter to a new tensor
+// holding its initial value, made straight from its recipe, suitable for a
+// training session that updates weights. It leaves the graph's own copy
+// unmade.
 func (g *Graph) InitialParams() Env {
 	env := make(Env, len(g.Params))
 	for _, p := range g.Params {
-		env[p] = p.ConstData.Clone()
+		env[p] = p.c.recipe.New()
 	}
 	return env
 }

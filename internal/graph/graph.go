@@ -151,9 +151,9 @@ type Value struct {
 	Shape    tensor.Shape
 	Producer *Node // nil for inputs, params and consts
 	Name     string
-	// ConstData holds the tensor for OpConst producers' outputs as well
-	// as for parameter initial values; nil otherwise.
-	ConstData *tensor.Tensor
+	// c holds a parameter's or constant's recipe and lazily made data;
+	// nil for every other value (see IsConst and Data).
+	c *constant
 }
 
 // String renders the SSA name, e.g. "%12".
@@ -258,18 +258,17 @@ func (g *Graph) Input(name string, shape ...int) *Value {
 	return v
 }
 
-// Param declares a trainable parameter with an initial value.
-func (g *Graph) Param(name string, init *tensor.Tensor) *Value {
-	v := g.NewValue(init.Shape(), name)
-	v.ConstData = init
+// Param declares a trainable parameter whose initial value init makes.
+func (g *Graph) Param(name string, init Recipe) *Value {
+	v := g.Const(name, init)
 	g.Params = append(g.Params, v)
 	return v
 }
 
-// Const declares a constant tensor.
-func (g *Graph) Const(name string, data *tensor.Tensor) *Value {
-	v := g.NewValue(data.Shape(), name)
-	v.ConstData = data
+// Const declares a constant tensor that data makes.
+func (g *Graph) Const(name string, data Recipe) *Value {
+	v := g.NewValue(data.shape, name)
+	v.c = &constant{recipe: data}
 	return v
 }
 
@@ -469,7 +468,7 @@ func (g *Graph) Validate() error {
 		seen[v] = true
 	}
 	for _, v := range g.Values {
-		if v.ConstData != nil {
+		if v.IsConst() {
 			seen[v] = true
 		}
 	}

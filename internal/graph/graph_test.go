@@ -15,9 +15,9 @@ func buildTinyModel() (*Graph, *Builder) {
 	rng := tensor.NewRNG(1)
 	x := g.Input("x", 4, 8)
 	targets := g.Input("targets", 4, 1)
-	w1 := g.Param("w1", tensor.Randn(rng, 0.1, 8, 16))
-	w2 := g.Param("w2", tensor.Randn(rng, 0.1, 8, 16))
-	bias := g.Param("b", tensor.Randn(rng, 0.1, 1, 16))
+	w1 := g.Param("w1", Gaussian(rng, 0.1, 8, 16))
+	w2 := g.Param("w2", Gaussian(rng, 0.1, 8, 16))
+	bias := g.Param("b", Gaussian(rng, 0.1, 1, 16))
 	var logits *Value
 	b.InScope("layer0", func() {
 		h1 := b.MatMul(x, w1)
@@ -25,7 +25,7 @@ func buildTinyModel() (*Graph, *Builder) {
 		h := b.Add(h1, h2)
 		h = b.AddBias(h, bias)
 		h = b.Tanh(h)
-		w3 := g.Param("w3", tensor.Randn(rng, 0.1, 16, 5))
+		w3 := g.Param("w3", Gaussian(rng, 0.1, 16, 5))
 		logits = b.MatMul(h, w3)
 	})
 	b.CrossEntropy(logits, targets)
@@ -237,8 +237,8 @@ func TestTracePinned(t *testing.T) {
 	b := NewBuilder(g)
 	x := g.Input("x", 2, 6)
 	ids := g.Input("token ids", 3, 1)
-	table := g.Param("emb", tensor.New(10, 4))
-	bias := g.Const("bias", tensor.New(1, 6))
+	table := g.Param("emb", Zeros(10, 4))
+	bias := g.Const("bias", Zeros(1, 6))
 	b.Scale(x, 2.5)
 	b.InScope(`dec "attn" 0`, func() {
 		b.AtStep(1, func() {

@@ -24,7 +24,7 @@ func (g *Graph) Trace(w io.Writer) error {
 		fmt.Fprintf(bw, "param %s %q shape=%s\n", v, v.Name, shapeStr(v.Shape))
 	}
 	for _, v := range g.Values {
-		if v.ConstData != nil && v.Producer == nil && !contains(g.Params, v) {
+		if v.IsConst() && v.Producer == nil && !contains(g.Params, v) {
 			fmt.Fprintf(bw, "const %s %q shape=%s\n", v, v.Name, shapeStr(v.Shape))
 		}
 	}

@@ -185,21 +185,21 @@ func TestForNodeCoversAllModelOps(t *testing.T) {
 	x := g.Input("x", 4, 8)
 	ids := g.Input("ids", 4, 1)
 	tgt := g.Input("t", 4, 1)
-	w := g.Param("w", tensor.New(8, 8))
-	emb := g.Param("e", tensor.New(16, 8))
+	w := g.Param("w", graph.Zeros(8, 8))
+	emb := g.Param("e", graph.Zeros(16, 8))
 	h := b.MatMul(x, w)
 	h = b.Add(h, x)
 	h = b.Tanh(h)
 	h = b.Mul(h, b.Sigmoid(x))
 	h = b.Sub(h, b.Scale(x, 0.5))
 	h = b.ReLU(h)
-	h = b.AddBias(h, g.Param("b", tensor.New(1, 8)))
+	h = b.AddBias(h, g.Param("b", graph.Zeros(1, 8)))
 	_ = b.Softmax(h)
 	_ = b.ConcatCols(h, h)
 	_ = b.SliceCols(h, 0, 4)
 	_ = b.Transpose(h)
 	_ = b.Lookup(emb, ids)
-	b.CrossEntropy(b.MatMul(h, g.Param("wo", tensor.New(8, 4))), tgt)
+	b.CrossEntropy(b.MatMul(h, g.Param("wo", graph.Zeros(8, 4))), tgt)
 	for _, n := range g.Nodes {
 		spec := ForNode(n, CuBLAS)
 		if spec.Tiles <= 0 || spec.TileTimeUs <= 0 {
@@ -215,7 +215,7 @@ func TestForNodeGEMMUsesLibrary(t *testing.T) {
 	g := graph.New()
 	b := graph.NewBuilder(g)
 	x := g.Input("x", 64, 1024)
-	w := g.Param("w", tensor.New(1024, 4096))
+	w := g.Param("w", graph.Zeros(1024, 4096))
 	mm := b.MatMul(x, w)
 	a := ForNode(mm.Producer, CuBLAS)
 	o := ForNode(mm.Producer, OpenAI1)

@@ -30,17 +30,17 @@ func RHN(cfg Config) *Model {
 	rng := tensor.NewRNG(cfg.Seed + 606)
 
 	xs := inputsFor(m, b, rng, "", cfg.SeqLen)
-	wt := m.G.Param("rhn.Wt", tensor.Randn(rng, 0.08, cfg.Embed, cfg.Hidden))
-	wg := m.G.Param("rhn.Wg", tensor.Randn(rng, 0.08, cfg.Embed, cfg.Hidden))
+	wt := m.G.Param("rhn.Wt", graph.Gaussian(rng, 0.08, cfg.Embed, cfg.Hidden))
+	wg := m.G.Param("rhn.Wg", graph.Gaussian(rng, 0.08, cfg.Embed, cfg.Hidden))
 	rt := make([]*graph.Value, depth)
 	rg := make([]*graph.Value, depth)
 	bt := make([]*graph.Value, depth)
 	bg := make([]*graph.Value, depth)
 	for l := 0; l < depth; l++ {
-		rt[l] = m.G.Param(fmt.Sprintf("rhn.Rt%d", l), tensor.Randn(rng, 0.08, cfg.Hidden, cfg.Hidden))
-		rg[l] = m.G.Param(fmt.Sprintf("rhn.Rg%d", l), tensor.Randn(rng, 0.08, cfg.Hidden, cfg.Hidden))
-		bt[l] = m.G.Param(fmt.Sprintf("rhn.bt%d", l), tensor.Randn(rng, 0.08, 1, cfg.Hidden))
-		bg[l] = m.G.Param(fmt.Sprintf("rhn.bg%d", l), tensor.Randn(rng, 0.08, 1, cfg.Hidden))
+		rt[l] = m.G.Param(fmt.Sprintf("rhn.Rt%d", l), graph.Gaussian(rng, 0.08, cfg.Hidden, cfg.Hidden))
+		rg[l] = m.G.Param(fmt.Sprintf("rhn.Rg%d", l), graph.Gaussian(rng, 0.08, cfg.Hidden, cfg.Hidden))
+		bt[l] = m.G.Param(fmt.Sprintf("rhn.bt%d", l), graph.Gaussian(rng, 0.08, 1, cfg.Hidden))
+		bg[l] = m.G.Param(fmt.Sprintf("rhn.bg%d", l), graph.Gaussian(rng, 0.08, 1, cfg.Hidden))
 	}
 
 	h := zeroState(m.G, "h0", cfg.Batch, cfg.Hidden)
@@ -83,8 +83,8 @@ func AttLSTM(cfg Config) *Model {
 
 	xs := inputsFor(m, b, rng, "", cfg.SeqLen)
 	p := newLSTMParams(m.G, rng, "attcell", cfg.Embed, cfg.Hidden)
-	watt := m.G.Param("att.W", tensor.Randn(rng, 0.08, cfg.Hidden, window))
-	wc := m.G.Param("att.Wc", tensor.Randn(rng, 0.08, 2*cfg.Hidden, cfg.Hidden))
+	watt := m.G.Param("att.W", graph.Gaussian(rng, 0.08, cfg.Hidden, window))
+	wc := m.G.Param("att.Wc", graph.Gaussian(rng, 0.08, 2*cfg.Hidden, cfg.Hidden))
 
 	h := zeroState(m.G, "h0", cfg.Batch, cfg.Hidden)
 	c := zeroState(m.G, "c0", cfg.Batch, cfg.Hidden)

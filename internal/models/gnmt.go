@@ -74,8 +74,8 @@ func GNMT(cfg Config) *Model {
 		decH[l] = zeroState(m.G, fmt.Sprintf("dech0_%d", l), cfg.Batch, cfg.Hidden)
 		decC[l] = zeroState(m.G, fmt.Sprintf("decc0_%d", l), cfg.Batch, cfg.Hidden)
 	}
-	Watt := m.G.Param("att.W", tensor.Randn(rng, 0.08, cfg.Hidden, T))
-	Wc := m.G.Param("att.Wc", tensor.Randn(rng, 0.08, 2*cfg.Hidden, cfg.Hidden))
+	Watt := m.G.Param("att.W", graph.Gaussian(rng, 0.08, cfg.Hidden, T))
+	Wc := m.G.Param("att.Wc", graph.Gaussian(rng, 0.08, 2*cfg.Hidden, cfg.Hidden))
 
 	var outs []*graph.Value
 	for t := 0; t < T; t++ {

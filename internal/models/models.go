@@ -190,7 +190,7 @@ func inputsFor(m *Model, b *graph.Builder, rng *tensor.RNG, prefix string, T int
 	cfg := m.Cfg
 	xs := make([]*graph.Value, T)
 	if cfg.Embedding {
-		table := m.G.Param(prefix+"emb", tensor.Randn(rng, 0.1, cfg.Vocab, cfg.Embed))
+		table := m.G.Param(prefix+"emb", graph.Gaussian(rng, 0.1, cfg.Vocab, cfg.Embed))
 		for t := 0; t < T; t++ {
 			ids := m.G.Input(fmt.Sprintf("%sids%d", prefix, t), cfg.Batch, 1)
 			m.IDs = append(m.IDs, ids)
@@ -214,5 +214,5 @@ func inputsFor(m *Model, b *graph.Builder, rng *tensor.RNG, prefix string, T int
 // zeroState returns a constant zero matrix used as the initial hidden and
 // cell state.
 func zeroState(g *graph.Graph, name string, rows, cols int) *graph.Value {
-	return g.Const(name, tensor.New(rows, cols))
+	return g.Const(name, graph.Zeros(rows, cols))
 }

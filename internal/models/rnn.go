@@ -19,9 +19,9 @@ func newLSTMParams(g *graph.Graph, rng *tensor.RNG, name string, inDim, hid int)
 	var p lstmParams
 	gates := [4]string{"i", "f", "o", "u"}
 	for k, gate := range gates {
-		p.wx[k] = g.Param(fmt.Sprintf("%s.W%s", name, gate), tensor.Randn(rng, 0.08, inDim, hid))
-		p.wh[k] = g.Param(fmt.Sprintf("%s.U%s", name, gate), tensor.Randn(rng, 0.08, hid, hid))
-		p.bias[k] = g.Param(fmt.Sprintf("%s.b%s", name, gate), tensor.Randn(rng, 0.08, 1, hid))
+		p.wx[k] = g.Param(fmt.Sprintf("%s.W%s", name, gate), graph.Gaussian(rng, 0.08, inDim, hid))
+		p.wh[k] = g.Param(fmt.Sprintf("%s.U%s", name, gate), graph.Gaussian(rng, 0.08, hid, hid))
+		p.bias[k] = g.Param(fmt.Sprintf("%s.b%s", name, gate), graph.Gaussian(rng, 0.08, 1, hid))
 	}
 	return p
 }
@@ -107,9 +107,9 @@ func MILSTM(cfg Config) *Model {
 	rng := tensor.NewRNG(cfg.Seed + 202)
 
 	xs := inputsFor(m, b, rng, "", cfg.SeqLen)
-	wx := m.G.Param("milstm.Wx", tensor.Randn(rng, 0.08, cfg.Embed, 4*cfg.Hidden))
-	wh := m.G.Param("milstm.Uh", tensor.Randn(rng, 0.08, cfg.Hidden, 4*cfg.Hidden))
-	bias := m.G.Param("milstm.b", tensor.Randn(rng, 0.08, 1, 4*cfg.Hidden))
+	wx := m.G.Param("milstm.Wx", graph.Gaussian(rng, 0.08, cfg.Embed, 4*cfg.Hidden))
+	wh := m.G.Param("milstm.Uh", graph.Gaussian(rng, 0.08, cfg.Hidden, 4*cfg.Hidden))
+	bias := m.G.Param("milstm.b", graph.Gaussian(rng, 0.08, 1, 4*cfg.Hidden))
 	const alpha, beta1, beta2 = 1.0, 0.5, 0.5
 
 	h := zeroState(m.G, "h0", cfg.Batch, cfg.Hidden)
@@ -195,12 +195,12 @@ func SCRNN(cfg Config) *Model {
 	const alpha = 0.95
 
 	xs := inputsFor(m, b, rng, "", cfg.SeqLen)
-	B := m.G.Param("scrnn.B", tensor.Randn(rng, 0.08, cfg.Embed, ctxDim))
-	A := m.G.Param("scrnn.A", tensor.Randn(rng, 0.08, cfg.Embed, cfg.Hidden))
-	P := m.G.Param("scrnn.P", tensor.Randn(rng, 0.08, ctxDim, cfg.Hidden))
-	R := m.G.Param("scrnn.R", tensor.Randn(rng, 0.08, cfg.Hidden, cfg.Hidden))
-	U := m.G.Param("scrnn.U", tensor.Randn(rng, 0.08, cfg.Hidden, cfg.Vocab))
-	V := m.G.Param("scrnn.V", tensor.Randn(rng, 0.08, ctxDim, cfg.Vocab))
+	B := m.G.Param("scrnn.B", graph.Gaussian(rng, 0.08, cfg.Embed, ctxDim))
+	A := m.G.Param("scrnn.A", graph.Gaussian(rng, 0.08, cfg.Embed, cfg.Hidden))
+	P := m.G.Param("scrnn.P", graph.Gaussian(rng, 0.08, ctxDim, cfg.Hidden))
+	R := m.G.Param("scrnn.R", graph.Gaussian(rng, 0.08, cfg.Hidden, cfg.Hidden))
+	U := m.G.Param("scrnn.U", graph.Gaussian(rng, 0.08, cfg.Hidden, cfg.Vocab))
+	V := m.G.Param("scrnn.V", graph.Gaussian(rng, 0.08, ctxDim, cfg.Vocab))
 
 	s := zeroState(m.G, "s0", cfg.Batch, ctxDim)
 	h := zeroState(m.G, "h0", cfg.Batch, cfg.Hidden)
@@ -232,7 +232,7 @@ func SCRNN(cfg Config) *Model {
 // vocabulary and attaches the cross-entropy loss against per-token targets.
 func emitLMHead(m *Model, b *graph.Builder, rng *tensor.RNG, tops []*graph.Value) {
 	cfg := m.Cfg
-	U := m.G.Param("head.U", tensor.Randn(rng, 0.08, cfg.Hidden, cfg.Vocab))
+	U := m.G.Param("head.U", graph.Gaussian(rng, 0.08, cfg.Hidden, cfg.Vocab))
 	var logits *graph.Value
 	b.InScope("head", func() {
 		cat := b.ConcatRows(tops...)

@@ -11,6 +11,8 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"sync"
 )
 
 // Shape describes the extent of each tensor dimension, outermost first.
@@ -104,13 +106,6 @@ func (t *Tensor) At(i, j int) float64 { return t.data[i*t.shape.Cols()+j] }
 // Set assigns the element at row i, column j of a matrix-shaped tensor.
 func (t *Tensor) Set(i, j int, v float64) { t.data[i*t.shape.Cols()+j] = v }
 
-// Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
-	c := New(t.shape...)
-	copy(c.data, t.data)
-	return c
-}
-
 // Reshape returns a view with a new shape sharing the same data. It panics
 // if the element counts differ.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
@@ -154,12 +149,55 @@ func (r *RNG) Reseed(seed uint64) {
 
 // Uint64 returns the next raw 64-bit value.
 func (r *RNG) Uint64() uint64 {
-	x := r.state
+	r.state = xorshift(r.state)
+	return r.state * 0x2545f4914f6cdd1d
+}
+
+// jumps holds the xorshift state transition raised to the powers 2^0 …
+// 2^63, each a 64×64 matrix over GF(2) whose column j is the image of the
+// state with only bit j set. The transition is linear over GF(2) (its
+// shifts and XORs are), so the state n draws later is the product of the
+// matrices for n's set bits applied to the state.
+var jumps = sync.OnceValue(func() *[64][64]uint64 {
+	m := new([64][64]uint64)
+	for j := range m[0] {
+		m[0][j] = xorshift(1 << j)
+	}
+	for k := 1; k < 64; k++ {
+		for j := range m[k] {
+			m[k][j] = apply(&m[k-1], m[k-1][j])
+		}
+	}
+	return m
+})
+
+// xorshift is one step of the generator's state transition.
+func xorshift(x uint64) uint64 {
 	x ^= x >> 12
 	x ^= x << 25
 	x ^= x >> 27
-	r.state = x
-	return x * 0x2545f4914f6cdd1d
+	return x
+}
+
+// apply multiplies the GF(2) matrix m by the bit vector x.
+func apply(m *[64]uint64, x uint64) uint64 {
+	var y uint64
+	for ; x != 0; x &= x - 1 {
+		y ^= m[bits.TrailingZeros64(x)]
+	}
+	return y
+}
+
+// Skip advances the generator by n draws without producing them: the
+// values drawn afterwards are exactly those drawn after n calls to Uint64.
+// It costs at most 64 matrix-vector products over GF(2), whatever n is.
+func (r *RNG) Skip(n uint64) {
+	m := jumps()
+	for k := 0; n != 0; k, n = k+1, n>>1 {
+		if n&1 != 0 {
+			r.state = apply(&m[k], r.state)
+		}
+	}
 }
 
 // Float64 returns a uniform value in [0, 1).
@@ -175,10 +213,13 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
+// NormDraws is how many Uint64 draws one Norm consumes.
+const NormDraws = 12
+
 // Norm returns an approximately standard-normal value (sum of uniforms).
 func (r *RNG) Norm() float64 {
 	s := 0.0
-	for i := 0; i < 12; i++ {
+	for i := 0; i < NormDraws; i++ {
 		s += r.Float64()
 	}
 	return s - 6

@@ -51,13 +51,8 @@ func TestNewAndFromSlice(t *testing.T) {
 	FromSlice([]float64{1, 2, 3}, 2, 2)
 }
 
-func TestCloneAndReshape(t *testing.T) {
+func TestReshape(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	c := a.Clone()
-	c.Set(0, 0, 99)
-	if a.At(0, 0) != 1 {
-		t.Fatal("Clone shares data")
-	}
 	r := a.Reshape(3, 2)
 	if r.At(2, 1) != 6 {
 		t.Fatalf("Reshape At(2,1) = %v", r.At(2, 1))
@@ -339,6 +334,48 @@ func TestRNGDeterminism(t *testing.T) {
 		if n < 0 || n >= 17 {
 			t.Fatalf("Intn out of range: %d", n)
 		}
+	}
+}
+
+// TestRNGSkipMatchesStepping checks the jump-ahead against plain
+// stepping: from one seed, Skip(n) must land on the state n draws of
+// Uint64 reach, at 0, 1, 12 (one Norm), on both sides of every power of
+// two up to 2^26, and at about 10^8 (a default-scale model's draws).
+func TestRNGSkipMatchesStepping(t *testing.T) {
+	counts := []uint64{0, 1}
+	top := 26
+	if testing.Short() {
+		top = 20
+	}
+	for k := 2; k <= top; k++ {
+		counts = append(counts, 1<<k-1, 1<<k, 1<<k+1)
+		if k == 3 {
+			counts = append(counts, 12)
+		}
+	}
+	if !testing.Short() {
+		counts = append(counts, 100_000_007)
+	}
+	const seed = 0x5eed
+	step := NewRNG(seed)
+	var stepped uint64
+	for _, n := range counts { // ascending
+		for ; stepped < n; stepped++ {
+			step.Uint64()
+		}
+		jump := NewRNG(seed)
+		jump.Skip(n)
+		if *jump != *step {
+			t.Fatalf("Skip(%d) reached state %#x, stepping %#x", n, jump.state, step.state)
+		}
+	}
+	// Skips compose: two jumps land where one jump of their sum does.
+	a, b := NewRNG(seed), NewRNG(seed)
+	a.Skip(12 * 1000)
+	a.Skip(12 * 345)
+	b.Skip(12 * 1345)
+	if a.Uint64() != b.Uint64() {
+		t.Fatal("Skip(x) then Skip(y) differs from Skip(x+y)")
 	}
 }
 

@@ -43,8 +43,14 @@ func CheckGraph(g *graph.Graph) *Report {
 		leaves[v] = true
 	}
 	for _, v := range g.Values {
-		if v.ConstData != nil {
+		if v.IsConst() {
 			leaves[v] = true
+			// Data is made on first read, so a recipe that disagrees with
+			// its value's shape would surface only in a value-evaluating
+			// run; check it here, where timing-only runs pass too.
+			if n, want := v.Recipe().Shape().NumElements(), v.Shape.NumElements(); n != want {
+				r.Add("graph.const", "", fmt.Sprintf("value %s (%s) has shape %v but its recipe makes %d elements", v, v.Name, v.Shape, n))
+			}
 		}
 	}
 	for _, v := range g.Values {

@@ -115,6 +115,25 @@ func TestCheckGraphDetectsShapeMismatch(t *testing.T) {
 	}
 }
 
+func TestCheckGraphDetectsShortRecipe(t *testing.T) {
+	// build makes x[2,4] × w[4,3], where w's recipe has recipeRows rows.
+	build := func(recipeRows int) *graph.Graph {
+		g := graph.New()
+		x := g.Input("x", 2, 4)
+		w := g.Param("w", graph.Gaussian(tensor.NewRNG(1), 0.08, recipeRows, 3))
+		w.Shape = tensor.Shape{4, 3}
+		graph.NewBuilder(g).MatMul(x, w)
+		return g
+	}
+	if r := CheckGraph(build(4)); !r.OK() {
+		t.Fatalf("clean graph has findings: %v", r.Findings)
+	}
+	r := CheckGraph(build(3))
+	if !hasCheck(r, "graph.const") {
+		t.Fatalf("recipe one row short not detected; findings: %v", r.Findings)
+	}
+}
+
 // --- allocation analyses ---
 
 func TestCheckStrategyDetectsAliasing(t *testing.T) {

@@ -49,6 +49,9 @@ type RunnerConfig struct {
 // BatchResult reports one dispatched mini-batch.
 type BatchResult struct {
 	// Metrics maps adaptive-variable IDs to their profiled values (µs).
+	// The map belongs to the runner and is valid until its next RunBatch,
+	// which clears and refills it: a caller that keeps it longer copies
+	// it.
 	Metrics map[string]float64
 	// TotalUs is the wall-clock time of the mini-batch (CPU timeline,
 	// which includes waiting for the device at the end).
@@ -124,10 +127,10 @@ type Runner struct {
 
 	// st is the reusable per-batch execution state.
 	st execState
-	// metrics is how many entries the last batch's metrics map held: the
-	// next batch's map is presized to it, since successive batches
-	// measure much the same variables.
-	metrics int
+	// metrics is every batch's BatchResult.Metrics, cleared and refilled
+	// by each RunBatch; successive batches measure much the same
+	// variables, so once it has grown a batch adds no storage.
+	metrics map[string]float64
 }
 
 // Instrument attaches a telemetry bundle; subsequent batches emit dispatch
@@ -368,18 +371,7 @@ func (r *Runner) RunBatch(inputs graph.Env, params graph.Env) BatchResult {
 			}
 			st.env[v] = t
 		}
-		for _, v := range r.Plan.G.Values {
-			if v.ConstData == nil {
-				continue
-			}
-			if params != nil {
-				if t, ok := params[v]; ok {
-					st.env[v] = t
-					continue
-				}
-			}
-			st.env[v] = v.ConstData
-		}
+		r.Plan.G.BindConsts(st.env, params)
 	}
 
 	if r.Cfg.Profile {
@@ -400,8 +392,12 @@ func (r *Runner) RunBatch(inputs graph.Env, params graph.Env) BatchResult {
 	}
 	dev.Synchronize()
 
+	if r.metrics == nil {
+		r.metrics = make(map[string]float64)
+	}
+	clear(r.metrics)
 	res := BatchResult{
-		Metrics:    make(map[string]float64, r.metrics),
+		Metrics:    r.metrics,
 		TotalUs:    dev.CPUTimeUs(),
 		Kernels:    st.next,
 		Events:     st.events,
@@ -414,7 +410,6 @@ func (r *Runner) RunBatch(inputs graph.Env, params graph.Env) BatchResult {
 	if r.Cfg.Profile {
 		r.extractMetrics(st, &res)
 	}
-	r.metrics = len(res.Metrics)
 	if r.obs != nil {
 		r.obs.Trace.AddSpan(obs.PIDDispatch, obs.TIDWirer, "dispatch batch", "wirer",
 			r.traceOffsetUs, res.TotalUs, map[string]interface{}{

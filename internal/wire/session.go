@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"maps"
 	"math"
 
 	"astra/internal/adapt"
@@ -426,9 +427,9 @@ func (s *Session) recordBatchTelemetry(res *BatchResult, bindings map[string]str
 	}
 
 	// Exploration counter tracks.
-	frozen, total := 0, 0
+	frozen := 0
 	if s.Exp != nil {
-		frozen, total = s.Exp.FrozenCount()
+		frozen, _ = s.Exp.FrozenCount()
 	}
 	tel.Trace.AddCounter(obs.PIDExplore, "explore.trials", endUs, map[string]float64{"trials": float64(s.Trials)})
 	tel.Trace.AddCounter(obs.PIDExplore, "explore.frozen_vars", endUs, map[string]float64{"frozen": float64(frozen)})
@@ -445,51 +446,13 @@ func (s *Session) recordBatchTelemetry(res *BatchResult, bindings map[string]str
 	reused, allocated := s.Runner.Dev.PoolCounters()
 	tel.Metrics.Gauge("sim.pool_reused", "").Set(float64(reused))
 	tel.Metrics.Gauge("sim.pool_allocated", "").Set(float64(allocated))
-	workers := 0
 	if len(res.WorkerUs) > 0 {
-		workers = len(res.WorkerUs)
 		tel.Metrics.Histogram("distsim.comm_us", "").Observe(res.CommUs)
 		tel.Metrics.Counter("distsim.comm_kernels", "").Add(float64(res.CommKernels))
 		tel.Trace.AddCounter(obs.PIDExplore, "distsim.comm_us", endUs, map[string]float64{"us": res.CommUs})
 	}
 
-	// One structured record per mini-batch, carrying the full per-worker
-	// kernel profiles — an event log alone is enough for astra-analyze.
-	reexp := 0
-	var pstats adapt.PriorStats
-	if s.Exp != nil {
-		reexp = s.Exp.Reexplorations()
-		pstats = s.Exp.PriorStats()
-	}
-	ev := obs.TrialEvent{
-		Batch:          s.Batches,
-		Trial:          s.Trials,
-		Phase:          phase,
-		StartUs:        startUs,
-		BatchUs:        res.TotalUs,
-		Kernels:        res.Kernels,
-		Events:         res.Events,
-		ProfOverheadUs: res.ProfilingOverheadUs(),
-		HitRate:        s.Ix.HitRate(),
-		FrozenVars:     frozen,
-		TotalVars:      total,
-		Bindings:       bindings,
-		Metrics:        res.Metrics,
-		Drift:          drift,
-		Workers:        workers,
-		CommUs:         res.CommUs,
-		WorkerUs:       res.WorkerUs,
-		VerifyFindings: append([]string(nil), s.stepVerify...),
-		Fabric:         s.Runner.Cfg.Comm.Fabric,
-		Froze:          froze,
-		Reexplorations: reexp,
-		PriorHits:      pstats.Hits,
-		PriorMisses:    pstats.Misses,
-		PriorPruned:    pstats.Pruned,
-		PriorRankInv:   pstats.RankInversions,
-		Profiles:       s.collectProfiles(),
-		SessionMeta:    s.meta,
-	}
+	ev := s.trialEvent(res, bindings, froze, phase, drift)
 
 	// Fold the batch's trace analytics into the registry. The analyzer
 	// reads the profiles just collected; its reconciliations are exact, so
@@ -505,6 +468,49 @@ func (s *Session) recordBatchTelemetry(res *BatchResult, bindings map[string]str
 		tel.Metrics.Gauge("analyze.overlap_efficiency", "").Set(ba.Overlap.Efficiency)
 	}
 	_ = tel.Events.Emit(ev)
+}
+
+// trialEvent builds the batch's event record: one per mini-batch, carrying
+// the full per-worker kernel profiles, so an event log alone is enough for
+// astra-analyze. The record keeps a copy of res.Metrics, which the runner
+// refills on its next batch.
+func (s *Session) trialEvent(res *BatchResult, bindings map[string]string, froze []string, phase string, drift bool) obs.TrialEvent {
+	frozen, total, reexp := 0, 0, 0
+	var pstats adapt.PriorStats
+	if s.Exp != nil {
+		frozen, total = s.Exp.FrozenCount()
+		reexp = s.Exp.Reexplorations()
+		pstats = s.Exp.PriorStats()
+	}
+	return obs.TrialEvent{
+		Batch:          s.Batches,
+		Trial:          s.Trials,
+		Phase:          phase,
+		StartUs:        s.ClockUs,
+		BatchUs:        res.TotalUs,
+		Kernels:        res.Kernels,
+		Events:         res.Events,
+		ProfOverheadUs: res.ProfilingOverheadUs(),
+		HitRate:        s.Ix.HitRate(),
+		FrozenVars:     frozen,
+		TotalVars:      total,
+		Bindings:       bindings,
+		Metrics:        maps.Clone(res.Metrics),
+		Drift:          drift,
+		Workers:        len(res.WorkerUs),
+		CommUs:         res.CommUs,
+		WorkerUs:       res.WorkerUs,
+		VerifyFindings: append([]string(nil), s.stepVerify...),
+		Fabric:         s.Runner.Cfg.Comm.Fabric,
+		Froze:          froze,
+		Reexplorations: reexp,
+		PriorHits:      pstats.Hits,
+		PriorMisses:    pstats.Misses,
+		PriorPruned:    pstats.Pruned,
+		PriorRankInv:   pstats.RankInversions,
+		Profiles:       s.collectProfiles(),
+		SessionMeta:    s.meta,
+	}
 }
 
 // nameCommLane labels a worker's communication stream in the trace; a no-op
@@ -523,7 +529,8 @@ func (s *Session) nameCommLane(devPID int, r *Runner) {
 // Step runs one training mini-batch with the current configuration. While
 // exploration is in progress the measurements feed the explorer, which then
 // advances to the next configuration; afterwards batches run with the
-// wired-in best configuration.
+// wired-in best configuration. The result's Metrics is the runner's map,
+// valid until the next Step; the batch's event record keeps a copy.
 func (s *Session) Step() BatchResult {
 	exploring := s.Exp != nil && !s.Exp.Done()
 	s.verifyStep()

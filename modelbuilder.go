@@ -49,12 +49,12 @@ func (mb *ModelBuilder) Input(name string, rows, cols int) Tensor {
 // Param declares a trainable weight of shape [rows, cols], randomly
 // initialized (deterministically).
 func (mb *ModelBuilder) Param(name string, rows, cols int) Tensor {
-	return Tensor{mb.g.Param(name, tensor.Randn(mb.rng, 0.08, rows, cols))}
+	return Tensor{mb.g.Param(name, graph.Gaussian(mb.rng, 0.08, rows, cols))}
 }
 
 // Zeros declares a constant zero matrix (e.g. an initial recurrent state).
 func (mb *ModelBuilder) Zeros(name string, rows, cols int) Tensor {
-	return Tensor{mb.g.Const(name, tensor.New(rows, cols))}
+	return Tensor{mb.g.Const(name, graph.Zeros(rows, cols))}
 }
 
 // InScope runs fn under a nested provenance scope.
