@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"slices"
@@ -26,9 +27,8 @@ import (
 	"time"
 
 	"astra/internal/analyze"
-	"astra/internal/enumerate"
-	"astra/internal/gpusim"
 	"astra/internal/harness"
+	"astra/internal/job"
 	"astra/internal/models"
 	"astra/internal/obs"
 	"astra/internal/parallel"
@@ -81,17 +81,16 @@ type AttributionReport struct {
 // reporting. Everything is on the simulated clock: byte-stable across
 // machines and worker counts.
 func attributionProbe() (*AttributionReport, error) {
-	build, ok := models.Get("sublstm")
+	sh := job.Shape{Model: "sublstm", Batch: 16, Level: "F", Workers: 1}
+	build, ok := models.Get(sh.Model)
 	if !ok {
 		return nil, fmt.Errorf("attribution probe: model sublstm missing")
 	}
-	mcfg := models.Config{Batch: 16, SeqLen: 3, Hidden: 1024, Embed: 128,
+	// A short, wide hand-sized model (GPU-bound and quick to explore), so
+	// only the session comes from the shape's lowering.
+	mcfg := models.Config{Batch: sh.Batch, SeqLen: 3, Hidden: 1024, Embed: 128,
 		Vocab: 100, Embedding: true, Backward: true}
-	s := wire.NewSession(build(mcfg), wire.SessionConfig{
-		Device:  gpusim.P100(),
-		Options: enumerate.PresetOptions(enumerate.PresetF),
-		Runner:  wire.RunnerConfig{PerOpCPUUs: 2},
-	})
+	s := wire.NewSession(build(mcfg), sh.SessionConfig())
 	tel := obs.NewTelemetry()
 	var sink bytes.Buffer
 	tel.SetEventSink(&sink)
@@ -137,6 +136,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	baseline := fs.String("baseline", "", "compare against this BenchReport JSON; exit 1 on regression")
 	tolerance := fs.Float64("tolerance", 0.20, "relative wall/allocs regression allowed vs -baseline")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *tolerance < 0 || math.IsNaN(*tolerance) || math.IsInf(*tolerance, 0) {
+		fmt.Fprintf(stderr, "astra-bench: -tolerance %g out of range (valid: a finite fraction, 0 or more)\n", *tolerance)
 		return 2
 	}
 

@@ -116,3 +116,26 @@ func TestUnknownExperimentExitsTwo(t *testing.T) {
 		t.Fatalf("stderr does not name the valid IDs: %s", stderr.String())
 	}
 }
+
+// TestToleranceOutOfRangeExitsTwo: a NaN tolerance makes every baseline
+// comparison false (so -baseline passes anything) and a negative one fails
+// every experiment, so both are rejected before any experiment runs.
+func TestToleranceOutOfRangeExitsTwo(t *testing.T) {
+	for _, tol := range []string{"-0.1", "NaN", "Inf", "-Inf"} {
+		var stdout, stderr strings.Builder
+		code := run([]string{"-experiment", "table1", "-quick", "-tolerance", tol}, &stdout, &stderr)
+		if code != 2 {
+			t.Errorf("-tolerance %s: exit %d, want 2; stderr: %s", tol, code, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("-tolerance %s: printed output before rejecting it:\n%s", tol, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), "out of range (valid: a finite fraction, 0 or more)") {
+			t.Errorf("-tolerance %s: stderr does not name the valid range: %s", tol, stderr.String())
+		}
+	}
+	var stdout, stderr strings.Builder
+	if code := run([]string{"-experiment", "table1", "-quick", "-tolerance", "0"}, &stdout, &stderr); code != 0 {
+		t.Errorf("-tolerance 0: exit %d, want 0; stderr: %s", code, stderr.String())
+	}
+}

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"astra/internal/enumerate"
+	"astra/internal/job"
 	"astra/internal/models"
 	"astra/internal/parallel"
 	"astra/internal/verify"
@@ -43,10 +44,6 @@ type result struct {
 	combo
 	report  *verify.Report
 	elapsed time.Duration
-}
-
-var presets = []enumerate.Preset{
-	enumerate.PresetF, enumerate.PresetFK, enumerate.PresetFKS, enumerate.PresetAll,
 }
 
 func main() {
@@ -121,21 +118,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// vetOne enumerates and verifies one matrix cell.
+// vetOne lowers one matrix cell's job shape and verifies its plan.
 func vetOne(c combo, batch int) *verify.Report {
-	build, ok := models.Get(c.model)
-	if !ok {
+	level, _ := job.LevelOf(c.preset)
+	sh, err := job.Shape{Model: c.model, Scale: job.Default, Batch: batch, Level: level, Workers: c.workers}.Normalize()
+	if err != nil {
 		r := &verify.Report{}
-		r.Add("vet.model", "", fmt.Sprintf("model %q not registered", c.model))
+		r.Add("vet.shape", "", err.Error())
 		return r
 	}
-	m := build(models.DefaultConfig(c.model, batch))
-	opts := enumerate.PresetOptions(c.preset)
-	if c.workers >= 2 {
-		opts.CommAdapt = true
-		opts.Workers = c.workers
-	}
-	p := enumerate.Enumerate(m.G, opts)
+	p := enumerate.Enumerate(sh.Build().G, sh.SessionConfig().Options)
 	return verify.VerifyPlan(p, verify.Spec{Workers: c.workers})
 }
 
@@ -151,20 +143,12 @@ func buildMatrix(model, preset, workers string) ([]combo, error) {
 		}
 		ms = []string{model}
 	}
-	var ps []enumerate.Preset
-	if preset == "all" {
-		ps = presets
-	} else {
-		found := false
-		for _, p := range presets {
-			if string(p) == preset {
-				ps = []enumerate.Preset{p}
-				found = true
-			}
-		}
-		if !found {
+	ps := job.Presets()
+	if preset != "all" {
+		if _, ok := job.LevelOf(enumerate.Preset(preset)); !ok {
 			return nil, fmt.Errorf("unknown preset %q", preset)
 		}
+		ps = []enumerate.Preset{enumerate.Preset(preset)}
 	}
 	var ws []int
 	for _, s := range strings.Split(workers, ",") {

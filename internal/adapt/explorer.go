@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"astra/internal/obs"
@@ -44,8 +45,11 @@ type Explorer struct {
 	// last transitioned to frozen — the exploration-convergence timeline.
 	// A variable whose context changes (a higher-level policy moved) thaws
 	// and re-freezes later; the map keeps the final freeze.
-	frozeAt    map[string]int
-	wasFrozen  map[string]bool
+	frozeAt   map[string]int
+	wasFrozen map[string]bool
+	// froze lists the IDs that froze in the last walk, sorted; it is sized
+	// for every variable once, so no walk allocates it (see Froze).
+	froze      []string
 	mTrials    *obs.Counter
 	mFrozen    *obs.Gauge
 	mVarsTotal *obs.Gauge
@@ -75,9 +79,11 @@ type Explorer struct {
 // the first tree walk happens here, and the visit plan of the very first
 // variable already depends on it.
 func NewExplorerPrior(root *Tree, ix *profile.Index, baseCtx string, prior Prior) *Explorer {
+	vars := root.Vars()
 	e := &Explorer{
-		root: root, ix: ix, base: baseCtx, vars: root.Vars(), prior: prior,
+		root: root, ix: ix, base: baseCtx, vars: vars, prior: prior,
 		frozeAt: map[string]int{}, wasFrozen: map[string]bool{},
+		froze: make([]string, 0, len(vars)),
 	}
 	root.Initialize()
 	ix.SetTrial(0)
@@ -109,15 +115,19 @@ func (e *Explorer) Instrument(reg *obs.Registry) {
 }
 
 // noteFreezes updates the convergence timeline after a tree walk: each
-// unfrozen→frozen transition is stamped with the current trial count.
+// unfrozen→frozen transition is stamped with the current trial count and
+// listed in Froze.
 func (e *Explorer) noteFreezes() {
+	e.froze = e.froze[:0]
 	for _, v := range e.vars {
 		f := v.Frozen()
 		if f && !e.wasFrozen[v.ID] {
 			e.frozeAt[v.ID] = e.trials
+			e.froze = append(e.froze, v.ID)
 		}
 		e.wasFrozen[v.ID] = f
 	}
+	slices.Sort(e.froze)
 	if e.mFrozen != nil {
 		frozen, total := e.FrozenCount()
 		e.mFrozen.Set(float64(frozen))
@@ -136,18 +146,11 @@ func (e *Explorer) FrozenCount() (frozen, total int) {
 	return frozen, len(e.vars)
 }
 
-// FrozenVarIDs returns the IDs of the currently frozen variables, sorted —
-// the stable form event logs and analyzers diff across batches.
-func (e *Explorer) FrozenVarIDs() []string {
-	var out []string
-	for _, v := range e.vars {
-		if v.Frozen() {
-			out = append(out, v.ID)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+// Froze returns the IDs of the variables that froze during the last tree
+// walk (the last Advance, ReExplore or Thaw, or construction), sorted — the
+// stable form event logs and analyzers read. The slice belongs to the
+// explorer and is valid until its next walk.
+func (e *Explorer) Froze() []string { return e.froze }
 
 // ConvergencePoint is one entry of the exploration-convergence timeline.
 type ConvergencePoint struct {

@@ -1,11 +1,6 @@
 package distsim
 
-import (
-	"math"
-	"testing"
-
-	"astra/internal/enumerate"
-)
+import "testing"
 
 func TestRingAllReduceFormula(t *testing.T) {
 	ic := Interconnect{Name: "t", BytesPerUs: 1000, LatencyUs: 2}
@@ -44,22 +39,6 @@ func TestFabrics(t *testing.T) {
 	}
 }
 
-func TestStepValidation(t *testing.T) {
-	c := &Cluster{Interconnect: PCIe()}
-	if _, err := c.Step("scrnn", 32, 0); err == nil {
-		t.Fatal("zero workers accepted")
-	}
-	if _, err := c.Step("scrnn", 30, 4); err == nil {
-		t.Fatal("indivisible batch accepted")
-	}
-	if _, err := c.Step("nope", 32, 2); err == nil {
-		t.Fatal("unknown model accepted")
-	}
-	if _, err := c.StepFixed("scrnn", 32, 2, Schedule{Bucket: "x", Placement: "main"}); err == nil {
-		t.Fatal("bad bucket label accepted")
-	}
-}
-
 func TestSchedules(t *testing.T) {
 	scheds := Schedules(16 << 20)
 	if len(scheds) < 4 {
@@ -73,136 +52,5 @@ func TestSchedules(t *testing.T) {
 	}
 	if !seenAllMain {
 		t.Fatal("bulk-sync schedule not in the sweep space")
-	}
-}
-
-func TestDataParallelTradeoff(t *testing.T) {
-	// The fundamental shape: per-device compute falls with more workers,
-	// the (analytic) all-reduce term rises, and there is a sweet spot —
-	// measured, not modeled.
-	c := &Cluster{Interconnect: PCIe(), Preset: enumerate.PresetFK}
-	results, best, err := c.BestWorkers("scrnn", 64, []int{1, 2, 4, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 4 {
-		t.Fatalf("results = %d", len(results))
-	}
-	for i := 1; i < len(results); i++ {
-		if results[i].PerDeviceUs >= results[i-1].PerDeviceUs {
-			t.Errorf("per-device compute did not fall: n=%d %v >= n=%d %v",
-				results[i].Workers, results[i].PerDeviceUs, results[i-1].Workers, results[i-1].PerDeviceUs)
-		}
-		if results[i].AllReduceUs <= results[i-1].AllReduceUs {
-			t.Errorf("all-reduce did not rise with workers")
-		}
-	}
-	if results[0].AllReduceUs != 0 || results[0].CommUs != 0 {
-		t.Fatalf("n=1 should have no all-reduce: %+v", results[0])
-	}
-	for _, r := range results[1:] {
-		if r.CommUs <= 0 || r.CommSpanUs <= 0 {
-			t.Fatalf("n=%d exchanged no gradients: %+v", r.Workers, r)
-		}
-		if r.StepUs < r.PerDeviceUs {
-			t.Fatalf("n=%d step faster than compute alone: %+v", r.Workers, r)
-		}
-		if r.Bucket == "" || r.Placement == "" {
-			t.Fatalf("n=%d missing explored comm schedule: %+v", r.Workers, r)
-		}
-	}
-	if best < 0 || results[best].ThroughputRows <= results[0].ThroughputRows*0.99 {
-		t.Fatalf("scaling never beat one worker: best=%d %+v", best, results[best])
-	}
-}
-
-func TestFasterFabricShiftsSweetSpot(t *testing.T) {
-	// On a faster interconnect the best worker count must be at least as
-	// large — the crossover moves right.
-	slow := &Cluster{Interconnect: Interconnect{Name: "slow", BytesPerUs: 1500, LatencyUs: 20}, Preset: enumerate.PresetFK}
-	fast := &Cluster{Interconnect: NVLink(), Preset: enumerate.PresetFK}
-	cands := []int{1, 2, 4, 8}
-	_, bestSlow, err := slow.BestWorkers("scrnn", 64, cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, bestFast, err := fast.BestWorkers("scrnn", 64, cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cands[bestFast] < cands[bestSlow] {
-		t.Fatalf("faster fabric chose fewer workers (%d) than slower (%d)", cands[bestFast], cands[bestSlow])
-	}
-}
-
-// TestEventCrossChecksAnalytic is the model-validation bridge: one bucket,
-// serialized on the main stream, is exactly the regime the closed-form ring
-// formula describes, so the measured first-to-last comm kernel span must
-// converge to it within 5% (the residue is per-kernel setup cost).
-func TestEventCrossChecksAnalytic(t *testing.T) {
-	for _, ic := range Fabrics() {
-		c := &Cluster{Interconnect: ic, Preset: enumerate.PresetFK}
-		r, err := c.StepBulkSync("scrnn", 64, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.AllReduceUs <= 0 || r.CommSpanUs <= 0 {
-			t.Fatalf("%s: empty exchange: %+v", ic.Name, r)
-		}
-		if rel := math.Abs(r.CommSpanUs-r.AllReduceUs) / r.AllReduceUs; rel > 0.05 {
-			t.Errorf("%s: event-level span %v vs analytic %v (%.1f%% off)",
-				ic.Name, r.CommSpanUs, r.AllReduceUs, 100*rel)
-		}
-		// Bulk-sync means exchange strictly after compute: the step must
-		// decompose into the two parts.
-		if r.StepUs < r.PerDeviceUs+r.CommSpanUs*0.95 {
-			t.Errorf("%s: bulk-sync step %v < compute %v + exchange %v",
-				ic.Name, r.StepUs, r.PerDeviceUs, r.CommSpanUs)
-		}
-	}
-}
-
-// TestOverlapBeatsBulkSync: a bucketed exchange on a dedicated comm stream
-// hides communication behind the remaining backward pass, so the measured
-// step must beat the bulk-synchronous baseline — the point of the whole
-// comm dimension.
-func TestOverlapBeatsBulkSync(t *testing.T) {
-	c := &Cluster{Interconnect: PCIe(), Preset: enumerate.PresetFK}
-	bulk, err := c.StepBulkSync("scrnn", 64, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	explored, err := c.Step("scrnn", 64, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if explored.StepUs >= bulk.StepUs {
-		t.Fatalf("explored schedule (%v, bucket=%s place=%s) did not beat bulk-sync (%v)",
-			explored.StepUs, explored.Bucket, explored.Placement, bulk.StepUs)
-	}
-}
-
-// TestExploredMatchesExhaustive: the online explorer's frozen communication
-// schedule must land within 2% of the best fixed schedule found by
-// exhaustively measuring the whole space.
-func TestExploredMatchesExhaustive(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exhaustive sweep")
-	}
-	c := &Cluster{Interconnect: PCIe(), Preset: enumerate.PresetFK}
-	sweep, best, err := c.Exhaustive("scrnn", 64, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	explored, err := c.Step("scrnn", 64, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bestUs := sweep[best].StepUs
-	if explored.StepUs > bestUs*1.02 {
-		t.Fatalf("explored %v (bucket=%s place=%s) vs exhaustive best %v (bucket=%s place=%s): gap %.2f%%",
-			explored.StepUs, explored.Bucket, explored.Placement,
-			bestUs, sweep[best].Bucket, sweep[best].Placement,
-			100*(explored.StepUs/bestUs-1))
 	}
 }

@@ -22,26 +22,21 @@ import (
 // the table reports the wired batch time each reaches and the number of
 // mini-batches spent.
 func AblationProfiling(o Options) (*Table, error) {
-	model := "scrnn"
-	batch := 16
-	m := buildModel(model, batch)
+	sh := defaultShape("scrnn", 16, "FK")
+	cfg := sh.SessionConfig()
 
 	// Astra: parallel exploration with fine-grained profiling.
-	s := wire.NewSession(m, wire.SessionConfig{
-		Device:  gpusim.P100(),
-		Options: enumerate.PresetOptions(enumerate.PresetFK),
-		Runner:  wire.RunnerConfig{PerOpCPUUs: 2},
-	})
+	s := wire.NewSession(sh.Build(), cfg)
 	s.Explore()
 	astraWired := s.WiredTimeUs()
 	astraTrials := s.Trials
 	o.progress("ablation astra done (%d trials)", astraTrials)
 
-	// Mutation baseline: same variables, end-to-end measurement only,
-	// random single-variable mutations with greedy accept.
-	m2 := buildModel(model, batch)
-	plan := enumerate.Enumerate(m2.G, enumerate.PresetOptions(enumerate.PresetFK))
-	runner := wire.NewRunner(plan, gpusim.NewDevice(gpusim.P100()), wire.RunnerConfig{PerOpCPUUs: 2})
+	// Mutation baseline: same variables, end-to-end measurement only (a
+	// runner without the profiling events), random single-variable
+	// mutations with greedy accept.
+	plan := enumerate.Enumerate(sh.Build().G, cfg.Options)
+	runner := wire.NewRunner(plan, gpusim.NewDevice(cfg.Device), cfg.Runner)
 	vars := plan.Tree.Vars()
 	rng := tensor.NewRNG(99)
 
@@ -94,8 +89,7 @@ func AblationProfiling(o Options) (*Table, error) {
 // mitigation when the clock cannot be pinned: requiring several samples per
 // configuration averages the noise away at the cost of a longer exploration.
 func AblationAutoboost(o Options) (*Table, error) {
-	model := "sublstm"
-	batch := 16
+	sh := defaultShape("sublstm", 16, "FKS")
 	t := &Table{
 		ID:     "ablation-autoboost",
 		Title:  "Exploration quality with and without GPU clock autoboost (§7)",
@@ -117,22 +111,16 @@ func AblationAutoboost(o Options) (*Table, error) {
 	}
 	outs, err := parallel.Map(o.workers(), len(variants), func(i int) (outcome, error) {
 		v := variants[i]
-		m := buildModel(model, batch)
-		dev := gpusim.P100()
-		dev.Autoboost = v.boost
-		ix := profile.NewIndex()
-		ix.SetSamples(v.samples)
-		s := wire.NewSession(m, wire.SessionConfig{
-			Device:  dev,
-			Options: enumerate.PresetOptions(enumerate.PresetFKS),
-			Runner:  wire.RunnerConfig{PerOpCPUUs: 2},
-			Index:   ix,
-		})
+		cfg := sh.SessionConfig()
+		cfg.Device.Autoboost = v.boost
+		cfg.Index = profile.NewIndex()
+		cfg.Index.SetSamples(v.samples)
+		s := wire.NewSession(sh.Build(), cfg)
 		s.Explore()
 		// Re-measure the chosen configuration with the clock pinned, so
 		// the comparison isolates decision quality from clock luck.
-		pinned := wire.NewRunner(s.Plan, gpusim.NewDevice(gpusim.P100()), wire.RunnerConfig{PerOpCPUUs: 2})
-		wired := pinned.RunBatch(nil, nil).TotalUs
+		pinned := sh.SessionConfig()
+		wired := wire.NewRunner(s.Plan, gpusim.NewDevice(pinned.Device), pinned.Runner).RunBatch(nil, nil).TotalUs
 		o.progress("ablation autoboost=%v samples=%d done", v.boost, v.samples)
 		return outcome{
 			row:   []string{v.label, fmt.Sprint(s.Trials), fmt.Sprintf("%.0f", wired)},
@@ -166,8 +154,7 @@ func AblationAutoboost(o Options) (*Table, error) {
 // mini-batches) at the cost of extra synchronization in the schedule;
 // one giant super-epoch serializes the whole stream exploration.
 func AblationBarrier(o Options) (*Table, error) {
-	model := "sublstm"
-	batch := 16
+	sh := defaultShape("sublstm", 16, "FKS")
 	t := &Table{
 		ID:     "ablation-barrier",
 		Title:  "Barrier exploration: super-epoch size vs state space and schedule quality",
@@ -176,14 +163,9 @@ func AblationBarrier(o Options) (*Table, error) {
 	budgets := []float64{500, 2000, 8000, 1e12}
 	rows, err := parallel.Map(o.workers(), len(budgets), func(i int) ([]string, error) {
 		budget := budgets[i]
-		m := buildModel(model, batch)
-		opts := enumerate.PresetOptions(enumerate.PresetFKS)
-		opts.SuperEpochUs = budget
-		s := wire.NewSession(m, wire.SessionConfig{
-			Device:  gpusim.P100(),
-			Options: opts,
-			Runner:  wire.RunnerConfig{PerOpCPUUs: 2},
-		})
+		cfg := sh.SessionConfig()
+		cfg.Options.SuperEpochUs = budget
+		s := wire.NewSession(sh.Build(), cfg)
 		s.Explore()
 		label := fmt.Sprintf("%.0f", budget)
 		if budget >= 1e12 {

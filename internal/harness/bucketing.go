@@ -5,11 +5,9 @@ import (
 
 	"astra/internal/baselines"
 	"astra/internal/data"
-	"astra/internal/enumerate"
 	"astra/internal/gpusim"
 	"astra/internal/models"
 	"astra/internal/parallel"
-	"astra/internal/wire"
 )
 
 // Table8 reproduces the dynamic-graph experiment (§5.5, Table 8): variable
@@ -23,9 +21,9 @@ func Table8(o Options) (*Table, error) {
 	lengths := data.SampleLengths(numBatches, 1234)
 	buckets := data.Buckets(data.SampleLengths(20000, 42), 5)
 
-	preset := enumerate.PresetFKS
+	level := "FKS"
 	if o.Quick {
-		preset = enumerate.PresetFK
+		level = "FK"
 	}
 
 	t := &Table{
@@ -60,15 +58,9 @@ func Table8(o Options) (*Table, error) {
 		build, _ := models.Get(c.model)
 		cfg := models.DefaultConfig(c.model, c.batch)
 		cfg.SeqLen = bLen
-		m := build(cfg)
-		s := wire.NewSession(m, wire.SessionConfig{
-			Device:  gpusim.P100(),
-			Options: enumerate.PresetOptions(preset),
-			Runner:  wire.RunnerConfig{PerOpCPUUs: 2},
-		})
-		s.Explore()
+		wired, _, _ := exploreWired(build(cfg), defaultShape(c.model, c.batch, level).SessionConfig())
 		o.progress("table8 %s-%d bucket %d done", c.model, c.batch, bLen)
-		return s.WiredTimeUs(), nil
+		return wired, nil
 	})
 	if err != nil {
 		return nil, err

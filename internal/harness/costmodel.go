@@ -2,11 +2,12 @@ package harness
 
 import (
 	"fmt"
+	"sort"
 
 	"astra/internal/costmodel"
 	"astra/internal/distsim"
-	"astra/internal/enumerate"
 	"astra/internal/parallel"
+	"astra/internal/wire"
 )
 
 func init() {
@@ -68,83 +69,80 @@ func (c CostModelComparison) GapPct() float64 {
 // runs must freeze identical bindings — the K-survivor valve and margin
 // guarantee the measured best is never pruned away — and the seeded result
 // must stay within 0.1% of both the cold result and the exhaustive sweep.
-func CompareCostModel(model string, fabric distsim.Interconnect, globalBatch, donorBatch, workers int) (CostModelComparison, error) {
-	out := CostModelComparison{Model: model, Fabric: fabric.Name, Workers: workers}
+func CompareCostModel(model, fabric string, globalBatch, donorBatch, workers int) (CostModelComparison, error) {
+	out := CostModelComparison{Model: model, Fabric: fabric, Workers: workers}
 	shared := costmodel.NewModel()
-	meta := func(batch int) costmodel.Meta {
-		return costmodel.Meta{
-			Model: model, Scale: "default", Batch: batch / workers,
-			Workers: workers, Fabric: fabric.Name,
-		}
-	}
+	meta := func(batch int) costmodel.Meta { return dataParallelShape(model, fabric, batch, workers).CostMeta() }
 
 	// Donor: a neighbour-shape session teaches the model. A train-only
 	// planner plans nothing, so this is exactly a cold exploration that happens to be
 	// observed.
-	donor := &distsim.Cluster{
-		Interconnect: fabric, Preset: enumerate.PresetFK,
-		Prior: costmodel.NewPlanner(shared, meta(donorBatch), false),
-	}
-	dres, err := donor.Step(model, donorBatch, workers)
+	donor, _, err := dataParallel(model, fabric, donorBatch, workers, nil, costmodel.NewPlanner(shared, meta(donorBatch), false))
 	if err != nil {
 		return out, fmt.Errorf("donor: %w", err)
 	}
-	out.DonorTrials = dres.Trials
+	out.DonorTrials = donor.Trials
 
 	// Cold reference at the target shape: no prior at all.
-	cold := &distsim.Cluster{Interconnect: fabric, Preset: enumerate.PresetFK}
-	cres, err := cold.Step(model, globalBatch, workers)
+	cold, cres, err := dataParallel(model, fabric, globalBatch, workers, nil, nil)
 	if err != nil {
 		return out, fmt.Errorf("cold: %w", err)
 	}
-	out.ColdTrials, out.ColdUs = cres.Trials, cres.StepUs
+	out.ColdTrials, out.ColdUs = cold.Trials, cres.TotalUs
 
 	// Seeded: same target shape, donor-trained model, rank + prune. The
 	// target batch bucket was never observed, so every plan comes from the
 	// L1 neighbour-shape backoff.
-	seeded := &distsim.Cluster{
-		Interconnect: fabric, Preset: enumerate.PresetFK,
-		Prior: costmodel.NewPlanner(shared, meta(globalBatch), true),
-	}
-	pres, err := seeded.Step(model, globalBatch, workers)
+	seeded, pres, err := dataParallel(model, fabric, globalBatch, workers, nil, costmodel.NewPlanner(shared, meta(globalBatch), true))
 	if err != nil {
 		return out, fmt.Errorf("seeded: %w", err)
 	}
-	out.PriorTrials, out.PriorUs = pres.Trials, pres.StepUs
-	out.Prior.Hits, out.Prior.Misses = pres.Prior.Hits, pres.Prior.Misses
-	out.Prior.Pruned, out.Prior.RankInv = pres.Prior.Pruned, pres.Prior.RankInversions
+	prior := seeded.Exp.PriorStats()
+	out.PriorTrials, out.PriorUs = seeded.Trials, pres.TotalUs
+	out.Prior.Hits, out.Prior.Misses = prior.Hits, prior.Misses
+	out.Prior.Pruned, out.Prior.RankInv = prior.Pruned, prior.RankInversions
 
 	// Ground truth: the offline exhaustive comm sweep.
-	exh := &distsim.Cluster{Interconnect: fabric, Preset: enumerate.PresetFK}
-	sweep, best, err := exh.Exhaustive(model, globalBatch, workers)
-	if err != nil {
+	if out.ExhaustiveUs, _, err = exhaustive(model, fabric, globalBatch, workers, cold.Plan.GradBytes()); err != nil {
 		return out, fmt.Errorf("exhaustive: %w", err)
 	}
-	out.ExhaustiveUs = sweep[best].StepUs
 
 	// Safety gates, per cell. First the pruning audit: no binding the cold
 	// run froze may ever have been pruned by the seeded run's plans — the
 	// prior is allowed to reorder the path to the answer, never to make
 	// the reference answer unmeasurable.
-	pruned := make(map[string]bool, len(pres.PrunedChoices))
-	for _, pc := range pres.PrunedChoices {
+	pruned := make(map[string]bool)
+	for _, pc := range seeded.Exp.PrunedChoices() {
 		pruned[pc] = true
 	}
-	for _, b := range cres.Bindings {
+	coldBindings, seededBindings := bindings(cold), bindings(seeded)
+	for _, b := range coldBindings {
 		if pruned[b] {
-			return out, fmt.Errorf("%s/%s: seeded exploration pruned the cold run's winner %q", model, fabric.Name, b)
+			return out, fmt.Errorf("%s/%s: seeded exploration pruned the cold run's winner %q", model, fabric, b)
 		}
 	}
-	out.BindingFlips = bindingFlips(cres.Bindings, pres.Bindings)
-	if diff := relDiffPct(pres.StepUs, cres.StepUs); diff > 0.1 {
+	out.BindingFlips = bindingFlips(coldBindings, seededBindings)
+	if diff := relDiffPct(out.PriorUs, out.ColdUs); diff > 0.1 {
 		return out, fmt.Errorf("%s/%s: seeded step %.1fµs vs cold %.1fµs (%.3f%% apart, gate 0.1%%)",
-			model, fabric.Name, pres.StepUs, cres.StepUs, diff)
+			model, fabric, out.PriorUs, out.ColdUs, diff)
 	}
 	if gap := out.GapPct(); gap > 0.1 {
 		return out, fmt.Errorf("%s/%s: seeded step %.1fµs is %.3f%% off exhaustive %.1fµs (gate 0.1%%)",
-			model, fabric.Name, pres.StepUs, gap, out.ExhaustiveUs)
+			model, fabric, out.PriorUs, gap, out.ExhaustiveUs)
 	}
 	return out, nil
+}
+
+// bindings lists every adaptive variable of an explored session as
+// "id=label", sorted: the full wired configuration, for asserting two
+// explorations froze identically.
+func bindings(s *wire.Session) []string {
+	var out []string
+	for _, v := range s.Exp.Vars() {
+		out = append(out, v.ID+"="+v.CurrentLabel())
+	}
+	sort.Strings(out)
+	return out
 }
 
 // bindingFlips counts "var=label" entries present in exactly one of two
@@ -205,7 +203,7 @@ func ExtCostModel(o Options) (*Table, error) {
 	}
 	cells, err := parallel.Map(o.workers(), len(models)*len(fabrics), func(i int) (cell, error) {
 		name, fabric := models[i/len(fabrics)], fabrics[i%len(fabrics)]
-		c, err := CompareCostModel(name, fabric, 64, 32, 4)
+		c, err := CompareCostModel(name, fabric.Name, 64, 32, 4)
 		if err != nil {
 			return cell{}, err
 		}

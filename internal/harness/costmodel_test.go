@@ -1,10 +1,6 @@
 package harness
 
-import (
-	"testing"
-
-	"astra/internal/distsim"
-)
+import "testing"
 
 func TestCostModelComparisonMath(t *testing.T) {
 	c := CostModelComparison{ColdTrials: 20, PriorTrials: 13, PriorUs: 1001, ExhaustiveUs: 1000}
@@ -49,7 +45,7 @@ func TestRelDiffPct(t *testing.T) {
 // and seeded, and CompareCostModel's internal gates (pruned-winner audit,
 // 0.1% step and exhaustive-gap bounds) must all hold.
 func TestCompareCostModelSingleCell(t *testing.T) {
-	c, err := CompareCostModel("scrnn", distsim.PCIe(), 64, 32, 4)
+	c, err := CompareCostModel("scrnn", "pcie3", 64, 32, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

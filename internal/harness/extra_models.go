@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"astra/internal/baselines"
-	"astra/internal/enumerate"
 	"astra/internal/gpusim"
 	"astra/internal/parallel"
 )
@@ -29,10 +28,12 @@ func ExtraModels(o Options) (*Table, error) {
 	names := []string{"rhn", "attlstm"}
 	rows, err := parallel.Map(o.workers(), len(names)*len(batches), func(i int) ([]string, error) {
 		name, batch := names[i/len(batches)], batches[i%len(batches)]
-		m := buildModel(name, batch)
+		sh := defaultShape(name, batch, "FK")
+		m := sh.Build()
 		nat := baselines.RunNative(m.G, gpusim.NewDevice(gpusim.P100()), baselines.PyTorch(), nil, nil)
-		wiredFK, _, _ := exploreWired(m, enumerate.PresetFK)
-		wiredAll, trials, _ := exploreWired(m, enumerate.PresetAll)
+		wiredFK, _, _ := exploreWired(m, sh.SessionConfig())
+		sh.Level = "All"
+		wiredAll, trials, _ := exploreWired(m, sh.SessionConfig())
 		o.progress("extra-models %s-%d done", name, batch)
 		return []string{
 			name, fmt.Sprint(batch), "1",

@@ -27,8 +27,9 @@ func Inventory(o Options) (*Table, error) {
 	names := models.Names()
 	rows, err := parallel.Map(o.workers(), len(names), func(i int) ([]string, error) {
 		name := names[i]
-		m := buildModel(name, 16)
-		p := enumerate.Enumerate(m.G, enumerate.PresetOptions(enumerate.PresetAll))
+		sh := defaultShape(name, 16, "All")
+		m := sh.Build()
+		p := enumerate.Enumerate(m.G, sh.SessionConfig().Options)
 		st := p.Stats()
 		gs := m.G.Stats()
 		o.progress("inventory %s done", name)

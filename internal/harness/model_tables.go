@@ -4,36 +4,30 @@ import (
 	"fmt"
 
 	"astra/internal/baselines"
-	"astra/internal/enumerate"
 	"astra/internal/gpusim"
+	"astra/internal/job"
 	"astra/internal/models"
 	"astra/internal/parallel"
 	"astra/internal/wire"
 )
 
-// exploreWired compiles the model at the preset, explores to convergence
-// and returns (wired batch time, exploration trials, alloc strategies).
-func exploreWired(m *models.Model, preset enumerate.Preset) (float64, int, int) {
-	s := wire.NewSession(m, wire.SessionConfig{
-		Device:  gpusim.P100(),
-		Options: enumerate.PresetOptions(preset),
-		Runner:  wire.RunnerConfig{PerOpCPUUs: 2},
-	})
+// defaultShape is the single-worker job of a zoo model at the paper's
+// §6.1 evaluation scale.
+func defaultShape(model string, batch int, level string) job.Shape {
+	return job.Shape{Model: model, Scale: job.Default, Batch: batch, Level: level, Workers: 1}
+}
+
+// exploreWired compiles m under cfg, explores to convergence and returns
+// (wired batch time, exploration trials, alloc strategies).
+func exploreWired(m *models.Model, cfg wire.SessionConfig) (float64, int, int) {
+	s := wire.NewSession(m, cfg)
 	s.Explore()
 	return s.WiredTimeUs(), s.Trials, len(s.Plan.Allocs)
 }
 
-func buildModel(name string, batch int) *models.Model {
-	build, ok := models.Get(name)
-	if !ok {
-		panic("harness: unknown model " + name)
-	}
-	return build(models.DefaultConfig(name, batch))
-}
-
 // speedupTable renders Tables 2–4: factor speedup relative to native
 // PyTorch for the cumulative Astra presets across mini-batch sizes. Every
-// (batch, preset) cell is an independent exploration episode — its own
+// (batch, level) cell is an independent exploration episode — its own
 // model build, native baseline and session — so the cells fan out across
 // Options.Parallel workers and merge back in canonical order.
 func speedupTable(id, model string, o Options) (*Table, error) {
@@ -42,14 +36,14 @@ func speedupTable(id, model string, o Options) (*Table, error) {
 		Title:  fmt.Sprintf("%s speedup vs native PyTorch", model),
 		Header: []string{"Mini-batch", "PyT", "Astra_F", "Astra_FK", "Astra_FKS", "Astra_all"},
 	}
-	presets := []enumerate.Preset{enumerate.PresetF, enumerate.PresetFK, enumerate.PresetFKS, enumerate.PresetAll}
+	levels := []string{"F", "FK", "FKS", "All"}
 	batches := o.batches()
-	cells, err := parallel.Map(o.workers(), len(batches)*len(presets), func(i int) (string, error) {
-		batch, p := batches[i/len(presets)], presets[i%len(presets)]
-		m := buildModel(model, batch)
+	cells, err := parallel.Map(o.workers(), len(batches)*len(levels), func(i int) (string, error) {
+		sh := defaultShape(model, batches[i/len(levels)], levels[i%len(levels)])
+		m := sh.Build()
 		nat := baselines.RunNative(m.G, gpusim.NewDevice(gpusim.P100()), baselines.PyTorch(), nil, nil)
-		wired, _, _ := exploreWired(m, p)
-		o.progress("%s %s batch=%d %s done", id, model, batch, p)
+		wired, _, _ := exploreWired(m, sh.SessionConfig())
+		o.progress("%s %s batch=%d %s done", id, model, sh.Batch, sh.Level)
 		return f2(nat.TimeUs / wired), nil
 	})
 	if err != nil {
@@ -57,7 +51,7 @@ func speedupTable(id, model string, o Options) (*Table, error) {
 	}
 	for bi, batch := range batches {
 		row := []string{fmt.Sprint(batch), "1"}
-		row = append(row, cells[bi*len(presets):(bi+1)*len(presets)]...)
+		row = append(row, cells[bi*len(levels):(bi+1)*len(levels)]...)
 		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
@@ -72,28 +66,28 @@ func cudnnTable(id, model string, o Options) (*Table, error) {
 		Title:  fmt.Sprintf("%s performance relative to cuDNN", model),
 		Header: []string{"Mini-batch", "PyT", "cuDNN", "Astra_F", "Astra_FK", "Astra_all"},
 	}
-	presets := []enumerate.Preset{enumerate.PresetF, enumerate.PresetFK, enumerate.PresetAll}
+	levels := []string{"F", "FK", "All"}
 	batches := o.batches()
 	type cell struct{ pyt, val string }
-	cells, err := parallel.Map(o.workers(), len(batches)*len(presets), func(i int) (cell, error) {
-		batch, p := batches[i/len(presets)], presets[i%len(presets)]
-		m := buildModel(model, batch)
+	cells, err := parallel.Map(o.workers(), len(batches)*len(levels), func(i int) (cell, error) {
+		sh := defaultShape(model, batches[i/len(levels)], levels[i%len(levels)])
+		m := sh.Build()
 		nat := baselines.RunNative(m.G, gpusim.NewDevice(gpusim.P100()), baselines.PyTorch(), nil, nil)
 		cud, ok := baselines.RunCuDNN(m, gpusim.NewDevice(gpusim.P100()), baselines.PyTorch(), nil, nil)
 		if !ok {
 			return cell{}, fmt.Errorf("harness: cuDNN does not cover %s", model)
 		}
-		wired, _, _ := exploreWired(m, p)
-		o.progress("%s %s batch=%d %s done", id, model, batch, p)
+		wired, _, _ := exploreWired(m, sh.SessionConfig())
+		o.progress("%s %s batch=%d %s done", id, model, sh.Batch, sh.Level)
 		return cell{pyt: f2(cud.TimeUs / nat.TimeUs), val: f2(cud.TimeUs / wired)}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for bi, batch := range batches {
-		row := []string{fmt.Sprint(batch), cells[bi*len(presets)].pyt, "1"}
-		for pi := range presets {
-			row = append(row, cells[bi*len(presets)+pi].val)
+		row := []string{fmt.Sprint(batch), cells[bi*len(levels)].pyt, "1"}
+		for li := range levels {
+			row = append(row, cells[bi*len(levels)+li].val)
 		}
 		t.Rows = append(t.Rows, row)
 	}

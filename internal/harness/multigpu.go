@@ -3,9 +3,12 @@ package harness
 import (
 	"fmt"
 
+	"astra/internal/adapt"
 	"astra/internal/distsim"
-	"astra/internal/enumerate"
+	"astra/internal/job"
 	"astra/internal/parallel"
+	"astra/internal/verify"
+	"astra/internal/wire"
 )
 
 func init() {
@@ -50,33 +53,93 @@ func (c MultiGPUComparison) GapPct() float64 {
 	return 100 * (c.ExploredUs/c.ExhaustiveUs - 1)
 }
 
+// dataParallelShape is the job of one data-parallel cell of the multi-GPU
+// experiments: model at the default scale and level FK, the global batch
+// split over n workers exchanging gradients over fabric.
+func dataParallelShape(model, fabric string, globalBatch, n int) job.Shape {
+	return job.Shape{Model: model, Scale: job.Default, Batch: globalBatch / n, Level: "FK", Workers: n, Fabric: fabric}
+}
+
+// dataParallel runs one data-parallel cell (dataParallelShape). A nil sched
+// leaves the communication schedule to the explorer; otherwise CommAdapt is
+// off and sched fixes the bucket cap and placement. prior, when not nil,
+// guides the exploration. It explores to convergence and returns the
+// session with its first wired cluster step: the slowest worker's batch,
+// gradient exchange included.
+func dataParallel(model, fabric string, globalBatch, n int, sched *distsim.Schedule, prior adapt.Prior) (*wire.Session, wire.BatchResult, error) {
+	if n < 1 || globalBatch%n != 0 {
+		return nil, wire.BatchResult{}, fmt.Errorf("harness: batch %d does not split over %d workers", globalBatch, n)
+	}
+	sh, err := dataParallelShape(model, fabric, globalBatch, n).Normalize()
+	if err != nil {
+		return nil, wire.BatchResult{}, fmt.Errorf("harness: %w", err)
+	}
+	cfg := sh.SessionConfig()
+	cfg.Prior = prior
+	if sched != nil {
+		kb, err := verify.BucketKB(sched.Bucket)
+		if err != nil {
+			return nil, wire.BatchResult{}, err
+		}
+		cfg.Options.CommAdapt = false
+		cfg.Comm.DefaultBucketKB, cfg.Comm.DefaultPlacement = kb, sched.Placement
+	}
+	s := wire.NewSession(sh.Build(), cfg)
+	s.Explore()
+	if err := s.Err(); err != nil {
+		return nil, wire.BatchResult{}, fmt.Errorf("harness: exploration: %w", err)
+	}
+	return s, s.Step(), nil
+}
+
+// exhaustive measures every fixed communication schedule of a cell whose
+// gradients total gradBytes, and returns the fastest step and its
+// schedule: the offline optimum the online explorer is judged against.
+func exhaustive(model, fabric string, globalBatch, n int, gradBytes int64) (float64, distsim.Schedule, error) {
+	var best distsim.Schedule
+	bestUs := 0.0
+	for _, sched := range distsim.Schedules(gradBytes) {
+		_, res, err := dataParallel(model, fabric, globalBatch, n, &sched, nil)
+		if err != nil {
+			return 0, best, err
+		}
+		if bestUs == 0 || res.TotalUs < bestUs {
+			best, bestUs = sched, res.TotalUs
+		}
+	}
+	return bestUs, best, nil
+}
+
 // CompareMultiGPU measures one model/fabric pair at a fixed worker count:
 // bulk-sync baseline, online-explored schedule, and the exhaustive sweep.
-func CompareMultiGPU(model string, fabric distsim.Interconnect, globalBatch, workers int) (MultiGPUComparison, error) {
-	c := &distsim.Cluster{Interconnect: fabric, Preset: enumerate.PresetFK}
-	bulk, err := c.StepBulkSync(model, globalBatch, workers)
+func CompareMultiGPU(model, fabric string, globalBatch, workers int) (MultiGPUComparison, error) {
+	if workers < 2 {
+		return MultiGPUComparison{}, fmt.Errorf("harness: %d workers exchange no gradients (valid: 2 or more)", workers)
+	}
+	bulkSync := distsim.BulkSync()
+	bulk, bulkRes, err := dataParallel(model, fabric, globalBatch, workers, &bulkSync, nil)
 	if err != nil {
 		return MultiGPUComparison{}, err
 	}
-	explored, err := c.Step(model, globalBatch, workers)
+	explored, res, err := dataParallel(model, fabric, globalBatch, workers, nil, nil)
 	if err != nil {
 		return MultiGPUComparison{}, err
 	}
-	sweep, best, err := c.Exhaustive(model, globalBatch, workers)
+	bestUs, best, err := exhaustive(model, fabric, globalBatch, workers, bulk.Plan.GradBytes())
 	if err != nil {
 		return MultiGPUComparison{}, err
 	}
 	return MultiGPUComparison{
 		Model:            model,
-		Fabric:           fabric.Name,
+		Fabric:           fabric,
 		Workers:          workers,
-		BulkSyncUs:       bulk.StepUs,
-		ExploredUs:       explored.StepUs,
-		ExploredBucket:   explored.Bucket,
-		ExploredPlace:    explored.Placement,
-		ExhaustiveUs:     sweep[best].StepUs,
-		ExhaustiveBucket: sweep[best].Bucket,
-		ExhaustivePlace:  sweep[best].Placement,
+		BulkSyncUs:       bulkRes.TotalUs,
+		ExploredUs:       res.TotalUs,
+		ExploredBucket:   explored.Plan.CommBucketVar.CurrentLabel(),
+		ExploredPlace:    explored.Plan.CommPlaceVar.CurrentLabel(),
+		ExhaustiveUs:     bestUs,
+		ExhaustiveBucket: best.Bucket,
+		ExhaustivePlace:  best.Placement,
 	}, nil
 }
 
@@ -108,7 +171,7 @@ func ExtMultiGPU(o Options) (*Table, error) {
 	fabrics := distsim.Fabrics()
 	rows, err := parallel.Map(o.workers(), len(models)*len(fabrics), func(i int) ([]string, error) {
 		name, fabric := models[i/len(fabrics)], fabrics[i%len(fabrics)]
-		c, err := CompareMultiGPU(name, fabric, 64, 4)
+		c, err := CompareMultiGPU(name, fabric.Name, 64, 4)
 		if err != nil {
 			return nil, err
 		}

@@ -5,9 +5,7 @@ import (
 	"strings"
 
 	"astra/internal/enumerate"
-	"astra/internal/gpusim"
 	"astra/internal/memory"
-	"astra/internal/models"
 	"astra/internal/parallel"
 	"astra/internal/profile"
 	"astra/internal/wire"
@@ -32,14 +30,12 @@ func Table7(o Options) (*Table, error) {
 	}
 	rows, err := parallel.Map(o.workers(), len(names), func(i int) ([]string, error) {
 		name := names[i]
-		m := buildModel(name, batch)
-		_, fks, _ := exploreWired(m, enumerate.PresetFKS)
+		sh := defaultShape(name, batch, "FKS")
+		m := sh.Build()
+		_, fks, _ := exploreWired(m, sh.SessionConfig())
 		o.progress("table7 %s FKS done", name)
-		s := wire.NewSession(m, wire.SessionConfig{
-			Device:  gpusim.P100(),
-			Options: enumerate.PresetOptions(enumerate.PresetAll),
-			Runner:  wire.RunnerConfig{PerOpCPUUs: 2},
-		})
+		sh.Level = "All"
+		s := wire.NewSession(m, sh.SessionConfig())
 		s.Explore()
 		res := s.Step()
 		frac := res.ProfilingOverheadUs() / res.TotalUs
@@ -61,12 +57,8 @@ func Table7(o Options) (*Table, error) {
 // requests fork the allocation strategy, and the custom-wirer picks the
 // strategy whose validated end-to-end time wins.
 func Figure1(o Options) (*Table, error) {
-	m := buildModel("scrnn", 16)
-	s := wire.NewSession(m, wire.SessionConfig{
-		Device:  gpusim.P100(),
-		Options: enumerate.PresetOptions(enumerate.PresetAll),
-		Runner:  wire.RunnerConfig{PerOpCPUUs: 2},
-	})
+	sh := defaultShape("scrnn", 16, "All")
+	s := wire.NewSession(sh.Build(), sh.SessionConfig())
 	p := s.Plan
 	t := &Table{
 		ID:     "fig1",
@@ -111,8 +103,8 @@ func Figure1(o Options) (*Table, error) {
 // LSTM, the structure the paper draws in Figure 2: super-epochs explored in
 // parallel, prefix order across epochs, exhaustive class variables within.
 func Figure2(o Options) (*Table, error) {
-	m := buildModel("stackedlstm", 16)
-	p := enumerate.Enumerate(m.G, enumerate.PresetOptions(enumerate.PresetAll))
+	sh := defaultShape("stackedlstm", 16, "All")
+	p := enumerate.Enumerate(sh.Build().G, sh.SessionConfig().Options)
 	if p.Tree == nil {
 		return nil, fmt.Errorf("harness: no update tree")
 	}
@@ -146,7 +138,5 @@ func Figure2(o Options) (*Table, error) {
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"units=%d fusion groups=%d super-epochs=%d epochs=%d adaptive variables=%d",
 		st.Units, st.Groups, st.SuperEpochs, st.Epochs, st.Variables))
-	_ = models.Names
-	_ = gpusim.P100
 	return t, nil
 }

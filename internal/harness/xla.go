@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"astra/internal/baselines"
-	"astra/internal/enumerate"
 	"astra/internal/gpusim"
 	"astra/internal/models"
 	"astra/internal/parallel"
-	"astra/internal/wire"
 )
 
 // Table9 reproduces the TensorFlow comparison (§6.6, Table 9): Astra_FK
@@ -44,22 +42,18 @@ func Table9(o Options) (*Table, error) {
 	rows, err := parallel.Map(o.workers(), len(cells), func(i int) ([]string, error) {
 		c := cells[i]
 		build, _ := models.Get(c.model)
-		cfg := models.DefaultConfig(c.model, c.batch)
-		cfg.Embedding = false
-		m := build(cfg)
+		mcfg := models.DefaultConfig(c.model, c.batch)
+		mcfg.Embedding = false
+		m := build(mcfg)
 
 		nat := baselines.RunNative(m.G, gpusim.NewDevice(gpusim.P100()), tf, nil, nil)
 		xla := baselines.RunXLA(m.G, gpusim.NewDevice(gpusim.P100()), nil, nil)
 
-		s := wire.NewSession(m, wire.SessionConfig{
-			Device:  gpusim.P100(),
-			Options: enumerate.PresetOptions(enumerate.PresetFK),
-			// The TF build interposes at the graph executor: same per-op
-			// cost as the XLA executor.
-			Runner: wire.RunnerConfig{PerOpCPUUs: 3},
-		})
-		s.Explore()
-		astra := s.WiredTimeUs()
+		cfg := defaultShape(c.model, c.batch, "FK").SessionConfig()
+		// The TF build interposes at the graph executor: same per-op cost
+		// as the XLA executor.
+		cfg.Runner.PerOpCPUUs = 3
+		astra, _, _ := exploreWired(m, cfg)
 
 		cudnnCol := "-"
 		if cud, ok := baselines.RunCuDNN(m, gpusim.NewDevice(gpusim.P100()), tf, nil, nil); ok {
@@ -81,7 +75,7 @@ func Table9(o Options) (*Table, error) {
 
 	// The embedding pathology the paper describes in prose: XLA with
 	// embeddings present is worse than native TF.
-	m := buildModel("scrnn", 16)
+	m := defaultShape("scrnn", 16, "FK").Build()
 	natE := baselines.RunNative(m.G, gpusim.NewDevice(gpusim.P100()), tf, nil, nil)
 	xlaE := baselines.RunXLA(m.G, gpusim.NewDevice(gpusim.P100()), nil, nil)
 	t.Notes = append(t.Notes, fmt.Sprintf(

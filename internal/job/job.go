@@ -4,7 +4,8 @@
 // built model and the session configuration, and names the job in the
 // profile store by its Signature, so every front end — the public astra
 // API, the exploration service and the what-if checker's rebuild — compiles
-// a shape the same way.
+// a shape the same way. The paper tables, astra-vet and astra-bench's
+// attribution probe lower their jobs through it too.
 package job
 
 import (
@@ -12,6 +13,7 @@ import (
 	"sort"
 	"strings"
 
+	"astra/internal/costmodel"
 	"astra/internal/distsim"
 	"astra/internal/enumerate"
 	"astra/internal/gpusim"
@@ -26,23 +28,35 @@ const (
 	Default = "default"
 )
 
-// levels maps each adaptation level to its enumeration preset, sorted by
-// name (the order error messages list them in).
+// levels maps each adaptation level to its enumeration preset, in
+// cumulative order (each level adds dimensions to the one before).
 var levels = []struct {
 	name   string
 	preset enumerate.Preset
 }{
-	{"All", enumerate.PresetAll},
 	{"F", enumerate.PresetF},
 	{"FK", enumerate.PresetFK},
 	{"FKS", enumerate.PresetFKS},
+	{"All", enumerate.PresetAll},
 }
 
-// Levels returns the adaptation level names, sorted.
+// Levels returns the adaptation level names, sorted (the order error
+// messages list them in).
 func Levels() []string {
 	out := make([]string, len(levels))
 	for i, l := range levels {
 		out[i] = l.name
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Presets returns the enumeration presets in cumulative order: F, FK, FKS,
+// All, the column order of the paper's tables.
+func Presets() []enumerate.Preset {
+	out := make([]enumerate.Preset, len(levels))
+	for i, l := range levels {
+		out[i] = l.preset
 	}
 	return out
 }
@@ -202,4 +216,9 @@ func (s Shape) Comm() wire.CommConfig {
 		LatencyUs:  ic.LatencyUs,
 		Fabric:     ic.Name,
 	}
+}
+
+// CostMeta is the shape's feature tuple for the cost model.
+func (s Shape) CostMeta() costmodel.Meta {
+	return costmodel.Meta{Model: s.Model, Scale: s.Scale, Batch: s.Batch, Workers: s.Workers, Fabric: s.Fabric}
 }

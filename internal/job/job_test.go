@@ -1,6 +1,7 @@
 package job
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -83,6 +84,13 @@ func TestLevelTable(t *testing.T) {
 	}
 	if _, ok := LevelOf(""); ok {
 		t.Fatal("hand-assembled options (empty preset) mapped to a level")
+	}
+	if got, want := Levels(), []string{"All", "F", "FK", "FKS"}; !slices.Equal(got, want) {
+		t.Fatalf("Levels() = %v, want sorted %v", got, want)
+	}
+	want := []enumerate.Preset{enumerate.PresetF, enumerate.PresetFK, enumerate.PresetFKS, enumerate.PresetAll}
+	if got := Presets(); !slices.Equal(got, want) {
+		t.Fatalf("Presets() = %v, want cumulative %v", got, want)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 
-	"astra/internal/costmodel"
 	"astra/internal/job"
 )
 
@@ -147,8 +146,3 @@ func (j Job) Shape() job.Shape {
 // that affects what the exploration measures, and nothing else (the tenant
 // is deliberately excluded — cross-tenant reuse is the point).
 func (j Job) Signature() string { return j.Shape().Signature() }
-
-// costMeta is the normalized job's feature tuple for the cost model.
-func (j Job) costMeta() costmodel.Meta {
-	return costmodel.Meta{Model: j.Model, Scale: j.Scale, Batch: j.Batch, Workers: j.Workers, Fabric: j.Fabric}
-}

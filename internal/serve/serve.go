@@ -378,7 +378,7 @@ func (s *Server) runSession(ctx context.Context, j Job, sig string, emit func(Ev
 	cfg := shape.SessionConfig()
 	cfg.Index = s.fleet
 	cfg.ProfileContext = sig
-	cfg.Prior = costmodel.NewPlanner(s.priorModel(j.Tenant), j.costMeta(), j.Prior)
+	cfg.Prior = costmodel.NewPlanner(s.priorModel(j.Tenant), shape.CostMeta(), j.Prior)
 	sess := wire.NewSession(shape.Build(), cfg)
 	out := &sessionOutcome{}
 	for !sess.Done() {

@@ -121,8 +121,8 @@ func TestCostMetaPinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mix shape %d: %v", i, err)
 		}
-		if got := n.costMeta(); got != want[i] {
-			t.Errorf("%s: costMeta = %+v, want %+v", n.Signature(), got, want[i])
+		if got := n.Shape().CostMeta(); got != want[i] {
+			t.Errorf("%s: CostMeta = %+v, want %+v", n.Signature(), got, want[i])
 		}
 	}
 }

@@ -306,15 +306,25 @@ func (s *Schedule) bucketCapBytes() int64 {
 	if v == nil {
 		return int64(s.b.spec.BucketKB) * 1024
 	}
-	label := v.CurrentLabel()
-	if label == "all" {
-		return 0
+	kb, err := BucketKB(v.CurrentLabel())
+	if err != nil {
+		panic(err.Error())
 	}
-	kb, err := strconv.ParseInt(label, 10, 64)
+	return int64(kb) * 1024
+}
+
+// BucketKB parses a bucket-cap label of enumerate.CommBucketLabels ("256",
+// "1024", ..., "all") into the cap in KB; "all" and "" are 0, a single
+// bucket holding every gradient.
+func BucketKB(label string) (int, error) {
+	if label == "" || label == "all" {
+		return 0, nil
+	}
+	kb, err := strconv.Atoi(label)
 	if err != nil || kb <= 0 {
-		panic(fmt.Sprintf("verify: bad bucket label %q", label))
+		return 0, fmt.Errorf("verify: bad bucket label %q", label)
 	}
-	return kb * 1024
+	return kb, nil
 }
 
 // packBuckets packs gradients into buckets in dispatch order: a bucket

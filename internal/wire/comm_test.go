@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -284,5 +285,51 @@ func TestMultiWorkerTelemetry(t *testing.T) {
 		if r.CommUs <= 0 {
 			t.Fatalf("record missing comm time: %+v", r)
 		}
+	}
+}
+
+// TestEventRecordsOwnTheirSlices: Step refills one session-owned WorkerUs
+// slice and the explorer one list of the variables that froze, so each
+// batch's event record must keep copies; a record sharing either would
+// change under it as later batches run.
+func TestEventRecordsOwnTheirSlices(t *testing.T) {
+	s := commSession(t, 2, true, nil)
+	s.Instrument(obs.NewTelemetry())
+	var events []obs.TrialEvent
+	var keptUs [][]float64
+	var keptFroze [][]string
+	var backing *float64
+	for i := 0; !s.Done(); i++ {
+		res := s.Step()
+		if len(res.WorkerUs) != 2 {
+			t.Fatalf("batch %d: WorkerUs = %v, want 2 workers", i, res.WorkerUs)
+		}
+		if i == 0 {
+			backing = &res.WorkerUs[0]
+		} else if &res.WorkerUs[0] != backing {
+			t.Fatalf("batch %d got a new WorkerUs slice: the session should refill one", i)
+		}
+		froze := s.Exp.Froze()
+		ev := s.trialEvent(&res, nil, froze, "explore", false)
+		if &ev.WorkerUs[0] == backing {
+			t.Fatalf("batch %d's event record shares the session's WorkerUs slice", i)
+		}
+		if len(froze) > 0 && &ev.Froze[0] == &froze[0] {
+			t.Fatalf("batch %d's event record shares the explorer's froze list", i)
+		}
+		events = append(events, ev)
+		keptUs = append(keptUs, slices.Clone(res.WorkerUs))
+		keptFroze = append(keptFroze, slices.Clone(froze))
+	}
+	changedUs, froze := false, 0
+	for i, ev := range events {
+		if !slices.Equal(ev.WorkerUs, keptUs[i]) || !slices.Equal(ev.Froze, keptFroze[i]) {
+			t.Fatalf("batch %d's event record changed after later batches", i)
+		}
+		changedUs = changedUs || (i > 0 && !slices.Equal(keptUs[i], keptUs[i-1]))
+		froze += len(ev.Froze)
+	}
+	if !changedUs || froze == 0 {
+		t.Fatalf("worker times never changed (%v) or nothing froze (%d): the test shows nothing", changedUs, froze)
 	}
 }

@@ -72,7 +72,9 @@ type BatchResult struct {
 	CommUs      float64
 	CommSpanUs  float64
 	// WorkerUs lists every worker's batch time when the session steps a
-	// multi-worker cluster; TotalUs is then their max.
+	// multi-worker cluster; TotalUs is then their max. The slice belongs
+	// to the session and is valid until its next Step: a caller that keeps
+	// it longer copies it.
 	WorkerUs []float64
 	// Env holds the computed values when value evaluation was requested.
 	Env graph.Env

@@ -35,6 +35,9 @@ type Session struct {
 	// synchronous data parallelism works. Step runs every peer and reports
 	// the slowest worker.
 	Peers []*Runner
+	// workerUs backs BatchResult.WorkerUs: refilled every multi-worker
+	// Step, valid until the next one.
+	workerUs []float64
 
 	// EvalValues runs the CPU value oracle each batch (slow; tests and
 	// examples only — timing never depends on it).
@@ -472,8 +475,9 @@ func (s *Session) recordBatchTelemetry(res *BatchResult, bindings map[string]str
 
 // trialEvent builds the batch's event record: one per mini-batch, carrying
 // the full per-worker kernel profiles, so an event log alone is enough for
-// astra-analyze. The record keeps a copy of res.Metrics, which the runner
-// refills on its next batch.
+// astra-analyze. The record keeps copies of res.Metrics, res.WorkerUs and
+// froze, which the runner, the session and the explorer refill on their
+// next batch or walk.
 func (s *Session) trialEvent(res *BatchResult, bindings map[string]string, froze []string, phase string, drift bool) obs.TrialEvent {
 	frozen, total, reexp := 0, 0, 0
 	var pstats adapt.PriorStats
@@ -499,10 +503,10 @@ func (s *Session) trialEvent(res *BatchResult, bindings map[string]string, froze
 		Drift:          drift,
 		Workers:        len(res.WorkerUs),
 		CommUs:         res.CommUs,
-		WorkerUs:       res.WorkerUs,
+		WorkerUs:       append([]float64(nil), res.WorkerUs...),
 		VerifyFindings: append([]string(nil), s.stepVerify...),
 		Fabric:         s.Runner.Cfg.Comm.Fabric,
-		Froze:          froze,
+		Froze:          append([]string(nil), froze...),
 		Reexplorations: reexp,
 		PriorHits:      pstats.Hits,
 		PriorMisses:    pstats.Misses,
@@ -529,8 +533,9 @@ func (s *Session) nameCommLane(devPID int, r *Runner) {
 // Step runs one training mini-batch with the current configuration. While
 // exploration is in progress the measurements feed the explorer, which then
 // advances to the next configuration; afterwards batches run with the
-// wired-in best configuration. The result's Metrics is the runner's map,
-// valid until the next Step; the batch's event record keeps a copy.
+// wired-in best configuration. The result's Metrics is the runner's map
+// and its WorkerUs the session's slice, both valid until the next Step; the
+// batch's event record keeps copies.
 func (s *Session) Step() BatchResult {
 	exploring := s.Exp != nil && !s.Exp.Done()
 	s.verifyStep()
@@ -556,25 +561,23 @@ func (s *Session) Step() BatchResult {
 		// Worker 0's metrics stay the explorer's signal — with the default
 		// noise-free device the replicas are identical, so its e2e IS the
 		// cluster step; under per-worker noise it is the unbiased proxy.
-		res.WorkerUs = append(res.WorkerUs, res.TotalUs)
+		s.workerUs = append(s.workerUs[:0], res.TotalUs)
 		for _, p := range s.Peers {
 			pr := p.RunBatch(nil, nil)
-			res.WorkerUs = append(res.WorkerUs, pr.TotalUs)
+			s.workerUs = append(s.workerUs, pr.TotalUs)
 			if pr.TotalUs > res.TotalUs {
 				res.TotalUs = pr.TotalUs
 			}
 		}
+		res.WorkerUs = s.workerUs
 	}
 	var bindings map[string]string
 	var froze []string
 	drift := false
 	if exploring {
-		var prevFrozen []string
 		if s.Obs != nil {
-			// Capture the tried configuration before Advance moves on, and
-			// the frozen set before this batch's measurements land.
+			// Capture the tried configuration before Advance moves on.
 			bindings = s.explorerBindings()
-			prevFrozen = s.Exp.FrozenVarIDs()
 		}
 		s.Exp.Observe(res.Metrics)
 		s.Exp.Advance()
@@ -583,7 +586,7 @@ func (s *Session) Step() BatchResult {
 		// Any wired expectation is stale once exploration runs again.
 		s.driftExpectUs = 0
 		if s.Obs != nil {
-			froze = newlyFrozen(prevFrozen, s.Exp.FrozenVarIDs())
+			froze = s.Exp.Froze()
 		}
 	}
 	s.Batches++
@@ -620,24 +623,6 @@ func modelScale(m *models.Model) string {
 		return "tiny"
 	}
 	return "custom"
-}
-
-// newlyFrozen returns the IDs in cur but not prev; both inputs are sorted
-// (adapt.Explorer.FrozenVarIDs), so one merge pass suffices and the result
-// stays sorted.
-func newlyFrozen(prev, cur []string) []string {
-	var out []string
-	i := 0
-	for _, id := range cur {
-		for i < len(prev) && prev[i] < id {
-			i++
-		}
-		if i < len(prev) && prev[i] == id {
-			continue
-		}
-		out = append(out, id)
-	}
-	return out
 }
 
 // Explore runs mini-batches until the exploration converges, returning the
