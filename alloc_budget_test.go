@@ -15,6 +15,9 @@ package astra
 // lists the row that runs each annotated function.
 
 import (
+	"bytes"
+	"math"
+	"runtime"
 	"testing"
 
 	"astra/internal/adapt"
@@ -41,12 +44,17 @@ func pinAllocs(t *testing.T, what string, runs int, want float64, f func()) {
 
 // TestSimulatorBatchAllocBudget drives a 200-kernel two-stream batch with
 // cross-stream events through Reset/Launch/Synchronize. Once the pools
-// have warmed up, a whole batch allocates nothing.
+// have warmed up, a whole batch allocates nothing: one that differs from
+// the batch before it (alternating kernel shapes), which runs the event
+// loop, and one that repeats it, which replays.
 func TestSimulatorBatchAllocBudget(t *testing.T) {
 	dev := gpusim.NewDevice(gpusim.P100())
 	dev.EnsureStreams(2)
-	spec := kernels.GEMM(kernels.CuBLAS, kernels.GEMMShape{M: 64, K: 512, N: 512})
-	batch := func() {
+	specs := []gpusim.KernelSpec{
+		kernels.GEMM(kernels.CuBLAS, kernels.GEMMShape{M: 64, K: 512, N: 512}),
+		kernels.GEMM(kernels.CuBLAS, kernels.GEMMShape{M: 64, K: 512, N: 256}),
+	}
+	batch := func(spec gpusim.KernelSpec) {
 		dev.Reset()
 		for i := 0; i < 200; i++ {
 			s := i % 2
@@ -58,9 +66,21 @@ func TestSimulatorBatchAllocBudget(t *testing.T) {
 		}
 		dev.Synchronize()
 	}
-	batch() // size the pools
-	batch()
-	pinAllocs(t, "simulator 200-kernel batch", 20, 0, batch)
+	n := 0
+	differ := func() {
+		n++
+		batch(specs[n%2])
+	}
+	differ() // size the pools
+	differ()
+	pinAllocs(t, "simulator 200-kernel batch, event loop", 20, 0, differ)
+	if r := dev.BatchesReplayed(); r != 0 {
+		t.Fatalf("%d batches that differ from the last replayed", r)
+	}
+	pinAllocs(t, "simulator 200-kernel batch, replayed", 20, 0, func() { batch(specs[0]) })
+	if r := dev.BatchesReplayed(); r < 20 {
+		t.Fatalf("only %d repeated batches replayed", r)
+	}
 	reused, allocated := dev.PoolCounters()
 	if reused == 0 || reused < allocated {
 		t.Errorf("pools not reusing: reused=%d allocated=%d", reused, allocated)
@@ -218,6 +238,84 @@ func TestWiredClusterStepAllocBudget(t *testing.T) {
 		t.Fatalf("wired step ran %d workers and %d comm kernels, want 2 workers exchanging gradients", len(res.WorkerUs), res.CommKernels)
 	}
 	pinAllocs(t, "wired 2-worker Session.Step", 10, 0, func() { s.Step() })
+}
+
+// TestWarmClusterFirstStepAllocBudget pins the first Step of a fresh
+// session that resumes wired-dp's shape from a profile snapshot: its
+// explorer is done before the first batch, so the step is wired. Each
+// runner sized its device from the program when it was built, so the step
+// draws every pooled record and event and every queue slot from storage
+// made then, and no pool grows. What it allocates is work done once per
+// program or per runner: resolving the launch list (a name per kernel),
+// checking the program, and scratch such as the execution state, the
+// metrics map, the event loop's lists and the replay reference.
+func TestWarmClusterFirstStepAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("explores a paper-scale model")
+	}
+	shape, err := job.Shape{Model: "scrnn", Scale: job.Default, Batch: 16, Level: "FKS", Workers: 2, Fabric: "pcie3"}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := wire.NewSession(shape.Build(), shape.SessionConfig())
+	cold.Explore()
+	var snap bytes.Buffer
+	if err := cold.Ix.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	warm := func() *wire.Session {
+		ix := profile.NewIndex()
+		if err := ix.Load(bytes.NewReader(snap.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		cfg := shape.SessionConfig()
+		cfg.Index = ix
+		s := wire.NewSession(shape.Build(), cfg)
+		if !s.Done() {
+			t.Fatal("the warm session explores")
+		}
+		return s
+	}
+	// The count is the least over five fresh sessions: the allocator's
+	// statistics cover the whole process, and in a whole-package run work
+	// outside the step (another test's leftover goroutines) now and then
+	// adds one to a single measurement.
+	got := uint64(math.MaxUint64)
+	for run := 0; run < 5; run++ {
+		s := warm()
+		devs := []*gpusim.Device{s.Runner.Dev}
+		for _, p := range s.Peers {
+			devs = append(devs, p.Dev)
+		}
+		pooled := make([]int64, len(devs))
+		for i, d := range devs {
+			_, pooled[i] = d.PoolCounters()
+		}
+		got = min(got, allocsOnce(func() { s.Step() }))
+		for i, d := range devs {
+			if _, now := d.PoolCounters(); now != pooled[i] {
+				t.Errorf("rank %d's first batch grew its pools by %d objects past the program's size", i, now-pooled[i])
+			}
+		}
+	}
+	if got != 1105 {
+		t.Errorf("a warm 2-worker session's first Step allocates %d, pinned at %d: fix the regression, or re-measure and re-pin after a deliberate change", got, 1105)
+	}
+}
+
+// allocsOnce counts the heap allocations of one call of f, the way
+// testing.AllocsPerRun counts a run. It collects twice first, which
+// empties every sync.Pool (fmt's printers among them), so f allocates
+// whatever it takes from one afresh, whenever the last collection ran.
+func allocsOnce(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // TestCheckScheduleAllocBudget pins in-session verification of a

@@ -19,6 +19,7 @@ import (
 	"astra/internal/enumerate"
 	"astra/internal/gpusim"
 	"astra/internal/harness"
+	"astra/internal/job"
 	"astra/internal/kernels"
 	"astra/internal/models"
 	"astra/internal/profile"
@@ -141,8 +142,9 @@ func BenchmarkEnumerate(b *testing.B) {
 	}
 }
 
-// BenchmarkMiniBatchDispatch measures one wired mini-batch dispatch+DES
-// simulation for the paper-scale subLSTM.
+// BenchmarkMiniBatchDispatch measures one wired mini-batch for the
+// paper-scale subLSTM: its dispatch and, since it repeats the batch before
+// it, the simulator's replay of that batch's timeline.
 func BenchmarkMiniBatchDispatch(b *testing.B) {
 	build, _ := models.Get("sublstm")
 	m := build(models.DefaultConfig("sublstm", 16))
@@ -152,6 +154,24 @@ func BenchmarkMiniBatchDispatch(b *testing.B) {
 		Runner:  wire.RunnerConfig{PerOpCPUUs: 2},
 	})
 	s.Explore()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+}
+
+// BenchmarkWiredClusterStep measures perfbench wired-dp's op: one wired
+// Session.Step of the paper-scale SC-RNN at batch 16, level FKS, over two
+// workers on PCIe 3 — both ranks' dispatch and simulation (a replay of the
+// previous batch) and the ring all-reduce.
+func BenchmarkWiredClusterStep(b *testing.B) {
+	shape, err := job.Shape{Model: "scrnn", Scale: job.Default, Batch: 16, Level: "FKS", Workers: 2, Fabric: "pcie3"}.Normalize()
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := wire.NewSession(shape.Build(), shape.SessionConfig())
+	s.Explore()
+	s.Step()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Step()
@@ -208,16 +228,22 @@ func BenchmarkProfileIndexBest(b *testing.B) {
 // BenchmarkSimulatorEventLoop measures the pooled event machinery:
 // cross-stream RecordEvent/WaitEvent dependencies around every launch, the
 // pattern the wirer emits for barrier-parallel exploration.
+// Consecutive batches alternate between two GEMM shapes, so no batch
+// repeats the one before it and each runs the event loop, not a replay.
 func BenchmarkSimulatorEventLoop(b *testing.B) {
 	dev := gpusim.NewDevice(gpusim.P100())
 	dev.EnsureStreams(4)
-	spec := kernels.GEMM(kernels.CuBLAS, kernels.GEMMShape{M: 64, K: 512, N: 512})
+	specs := []gpusim.KernelSpec{
+		kernels.GEMM(kernels.CuBLAS, kernels.GEMMShape{M: 64, K: 512, N: 512}),
+		kernels.GEMM(kernels.CuBLAS, kernels.GEMMShape{M: 64, K: 512, N: 256}),
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%256 == 0 {
 			dev.Synchronize()
 			dev.Reset()
 		}
+		spec := specs[i/256%2]
 		src, dst := i%4, (i+1)%4
 		dev.Launch(src, spec)
 		ev := dev.RecordEvent(src)

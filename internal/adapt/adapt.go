@@ -251,6 +251,22 @@ func (t *Tree) walkVars(out *[]*Var) {
 	}
 }
 
+// dropCaches releases the subtree's walk caches: every variable's key
+// cache and every node's memoized contexts.
+func (t *Tree) dropCaches() {
+	for _, v := range t.Vars() {
+		v.keys, v.keyCtx = nil, ""
+	}
+	t.dropContexts()
+}
+
+func (t *Tree) dropContexts() {
+	t.ctxs = nil
+	for _, c := range t.Children {
+		c.dropContexts()
+	}
+}
+
 // Initialize resets the whole subtree to default choices.
 func (t *Tree) Initialize() {
 	for _, v := range t.Vars() {

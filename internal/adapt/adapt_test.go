@@ -445,3 +445,78 @@ func TestModeString(t *testing.T) {
 		t.Fatal("mode names wrong")
 	}
 }
+
+// TestDoneExplorerDropsCaches: while exploring, the walk caches every
+// variable's profile keys and each node's derived contexts; once done, the
+// explorer releases both. A thaw rebuilds them on demand, re-converges to
+// the same bests and releases them again.
+func TestDoneExplorerDropsCaches(t *testing.T) {
+	ix := profile.NewIndex()
+	alloc := NewVar("alloc", "a0", "a1")
+	f1 := NewVar("fuse1", "1", "2", "4")
+	e1a, e1b := NewVar("e1k1", "s0", "s1"), NewVar("e1k2", "s0", "s1")
+	e2 := NewVar("e2k1", "s0", "s1")
+	tree := NewNode("root", Fork,
+		LeafNode(alloc),
+		NewNode("body", Parallel,
+			LeafNode(f1),
+			NewNode("se0", Prefix,
+				NewNode("epoch1", Exhaustive, LeafNode(e1a), LeafNode(e1b)),
+				LeafNode(e2),
+			),
+		),
+	)
+	e := NewExplorerPrior(tree, ix, "job:test", nil)
+	metrics := func() map[string]float64 {
+		base := 1.0 + float64(alloc.Current())
+		return map[string]float64{
+			"alloc": base * 10, "fuse1": base * float64(3-f1.Current()),
+			"epoch1": base * float64(1+e1a.Current()+e1b.Current()), "e2k1": base * float64(2-e2.Current()),
+		}
+	}
+	var nodes []*Tree
+	var walk func(*Tree)
+	walk = func(n *Tree) {
+		nodes = append(nodes, n)
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(tree)
+	cached := func() (keys, ctxs int) {
+		for _, v := range e.Vars() {
+			if v.keys != nil || v.keyCtx != "" {
+				keys++
+			}
+		}
+		for _, n := range nodes {
+			if n.ctxs != nil {
+				ctxs++
+			}
+		}
+		return keys, ctxs
+	}
+	if keys, ctxs := cached(); keys == 0 || ctxs == 0 {
+		t.Fatalf("an exploring walk cached %d key sets and %d context memos", keys, ctxs)
+	}
+	drive(t, e, metrics, 200)
+	if keys, ctxs := cached(); keys != 0 || ctxs != 0 {
+		t.Fatalf("a done explorer holds %d key caches and %d context memos", keys, ctxs)
+	}
+	var bests []int
+	for _, v := range e.Vars() {
+		bests = append(bests, v.Current())
+	}
+	if e.Thaw() == 0 {
+		t.Fatal("the thaw evicted nothing")
+	}
+	drive(t, e, metrics, 400)
+	for i, v := range e.Vars() {
+		if v.Current() != bests[i] {
+			t.Fatalf("%s re-froze at %s, first at %s", v.ID, v.CurrentLabel(), v.Labels[bests[i]])
+		}
+	}
+	if keys, ctxs := cached(); keys != 0 || ctxs != 0 {
+		t.Fatalf("the re-converged explorer holds %d key caches and %d context memos", keys, ctxs)
+	}
+}

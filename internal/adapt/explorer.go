@@ -87,9 +87,20 @@ func NewExplorerPrior(root *Tree, ix *profile.Index, baseCtx string, prior Prior
 	}
 	root.Initialize()
 	ix.SetTrial(0)
-	e.done = e.setup(root, e.base)
-	e.noteFreezes()
+	e.walk()
 	return e
+}
+
+// walk walks the tree from the root and notes the freezes. Once
+// exploration is done it drops the caches only exploring walks read: each
+// variable's profile keys and each node's memoized contexts. A thaw's walk
+// and KeyFor rebuild them on demand.
+func (e *Explorer) walk() {
+	e.done = e.setup(e.root, e.base)
+	e.noteFreezes()
+	if e.done {
+		e.root.dropCaches()
+	}
 }
 
 // Instrument attaches a metrics registry: Advance keeps explore.trials,
@@ -244,8 +255,7 @@ func (e *Explorer) Advance() bool {
 	if e.mTrials != nil {
 		e.mTrials.Inc()
 	}
-	e.done = e.setup(e.root, e.base)
-	e.noteFreezes()
+	e.walk()
 	return !e.done
 }
 
@@ -299,8 +309,7 @@ func (e *Explorer) Thaw(varIDs ...string) int {
 // recomputes convergence — call it after mutating the index (Thaw does this
 // itself). It returns true when exploration has work to do again.
 func (e *Explorer) ReExplore() bool {
-	e.done = e.setup(e.root, e.base)
-	e.noteFreezes()
+	e.walk()
 	return !e.done
 }
 

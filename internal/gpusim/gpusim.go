@@ -129,7 +129,6 @@ type KernelSpec struct {
 // Event is a cudaEvent-style marker. Its timestamp resolves when the
 // stream it was recorded on drains past the record point.
 type Event struct {
-	id       int
 	stream   int // stream the event was recorded on
 	resolved bool
 	timeUs   float64
@@ -186,7 +185,7 @@ type KernelRecord struct {
 // DurationUs returns the kernel's device-side duration.
 func (k *KernelRecord) DurationUs() float64 { return k.EndUs - k.StartUs }
 
-type itemKind int
+type itemKind int32
 
 const (
 	itemKernel itemKind = iota
@@ -194,24 +193,29 @@ const (
 	itemWait
 )
 
+// item is one entry of a stream's FIFO. It is kept small: a batch holds
+// one per launch, record and wait, on every device.
 type item struct {
+	arrivalUs float64       // CPU launch time
+	rec       *KernelRecord // kernel: its record
+	event     *Event        // record target or wait source
+	setupUs   float64       // kernel: device-side time before its tiles schedule
 	kind      itemKind
-	arrivalUs float64 // CPU launch time
-	kern      *kernel
-	event     *Event // record target or wait source
-	tag       string // dispatcher label of a wait (WaitEventTag)
+	// aux is a kernel's launch order within the batch (the total
+	// SM-allocation tie-break), or a wait's tag as an index into
+	// Device.tags.
+	aux int32
 }
 
+// kernel is the execution state of a started kernel. A stream runs one
+// kernel at a time, so each stream holds the state of its own.
 type kernel struct {
 	rec        *KernelRecord
-	setupUs    float64
 	readyAt    float64 // device time tiles become schedulable
-	started    bool
-	seq        int // launch order within the batch; total SM-allocation tie-break
-	unassigned int // tiles not yet given to an SM group
-	inFlight   int // tiles currently executing
-	assigned   int // SMs currently held
-	jitter     float64
+	seq        int     // launch order within the batch; total SM-allocation tie-break
+	unassigned int     // tiles not yet given to an SM group
+	inFlight   int     // tiles currently executing
+	assigned   int     // SMs currently held
 }
 
 type stream struct {
@@ -220,7 +224,8 @@ type stream struct {
 	// the next batch enqueues into already-warm capacity.
 	queue     []item
 	head      int
-	busy      *kernel // FIFO: at most one kernel in flight per stream
+	busy      *kernel // FIFO: at most one kernel in flight per stream (&run)
+	run       kernel  // the state of the stream's kernel in flight
 	lastDone  float64 // device time the last kernel on this stream finished
 	waitUntil float64 // earliest device time the next item may start
 	// waitStream/waitTag carry the provenance of the current waitUntil: the
@@ -256,39 +261,67 @@ type CostOverride struct {
 }
 
 type Device struct {
-	cfg       Config
-	override  CostOverride
-	cpuUs     float64
-	simUs     float64
-	freeSMs   int
-	streams   []*stream
-	running   []*kernel
-	batches   batchHeap
-	records   []*KernelRecord
-	rng       *tensor.RNG
-	faultRNG  *tensor.RNG // persists across Reset; drives straggler injection
-	batch     int         // 1-based batch counter, advanced by Reset
-	eventSeq  int
-	launchSeq int     // kernels launched this batch; orders SM allocation ties
-	smBusyUs  float64 // integral of busy SMs over device time
+	cfg      Config
+	override CostOverride
+	cpuUs    float64
+	simUs    float64
+	freeSMs  int
+	streams  []*stream
+	running  []*kernel
+	batches  batchHeap
+	rng      *tensor.RNG
+	faultRNG *tensor.RNG // persists across Reset; drives straggler injection
+	batch    int         // 1-based batch counter, advanced by Reset
+	smBusyUs float64     // integral of busy SMs over device time
+	tags     []string    // every wait tag seen, indexed by item.aux
 
 	// Free-lists for the per-batch hot-path objects. Pointers handed out
 	// (records, events) stay valid until the next Reset, which recycles them
 	// for the following batch — the simulator's steady state allocates
-	// nothing per launch. Pools hold pointers (not a value arena) so growth
-	// via append never invalidates an outstanding pointer.
+	// nothing per launch. Pools hold pointers, so growth via append never
+	// invalidates an outstanding pointer. A pool hands its objects out in
+	// the same order every batch, and keeps their contents (see replay).
+	// recPool[:recUsed] is the batch's records in launch order, so a
+	// record's place there is its kernel's launch order.
 	recPool   []*KernelRecord
 	recUsed   int
-	kernPool  []*kernel
-	kernUsed  int
 	eventPool []*Event
 	eventUsed int
 	needy     []*kernel // scratch for allocateSMs
 	poolReuse int64     // objects served from a free-list (telemetry)
 	poolAlloc int64     // objects newly allocated (telemetry)
+
+	// Replay of a repeated batch (see Synchronize). The device's own
+	// storage is the reference: the stream queues' backing arrays still
+	// hold the items of the last drained batch, and its records and events
+	// still hold that drain's results. ref adds, per stream, the item count
+	// and end state of that drain, and refSimUs/refSMBusyUs its clocks.
+	ref         []streamRef
+	refSimUs    float64
+	refSMBusyUs float64
+	// refOK reports that the storage holds one complete reference: the
+	// batch since Reset drained exactly once and issued nothing after.
+	refOK bool
+	// same reports that every item issued since Reset equals the one it
+	// overwrote, so far; a mismatch clears it (diverge).
+	same     bool
+	drains   int   // drains since Reset
+	replayed int64 // batches replayed (telemetry)
 }
 
-// newRecord hands out a KernelRecord from the device free list.
+// streamRef is one stream's part of the reference batch: how many items it
+// issued, and its state when the drain finished.
+type streamRef struct {
+	items      int
+	lastDone   float64
+	waitUntil  float64
+	waitStream int
+	waitTag    string
+}
+
+// newRecord hands out a KernelRecord from the device free list. A reused
+// record keeps its contents: Launch compares them with the new launch
+// before it overwrites them.
 //
 //astra:hotpath
 func (d *Device) newRecord() *KernelRecord {
@@ -296,7 +329,6 @@ func (d *Device) newRecord() *KernelRecord {
 		r := d.recPool[d.recUsed]
 		d.recUsed++
 		d.poolReuse++
-		*r = KernelRecord{}
 		return r
 	}
 	// lint:ok escape pool growth, amortized to zero across Reset/reuse
@@ -307,26 +339,9 @@ func (d *Device) newRecord() *KernelRecord {
 	return r
 }
 
-// newKernel hands out a kernel from the device free list.
-//
-//astra:hotpath
-func (d *Device) newKernel() *kernel {
-	if d.kernUsed < len(d.kernPool) {
-		k := d.kernPool[d.kernUsed]
-		d.kernUsed++
-		d.poolReuse++
-		*k = kernel{}
-		return k
-	}
-	// lint:ok escape pool growth, amortized to zero across Reset/reuse
-	k := &kernel{}
-	d.kernPool = append(d.kernPool, k)
-	d.kernUsed++
-	d.poolAlloc++
-	return k
-}
-
-// newEvent hands out an Event from the device free list.
+// newEvent hands out an Event from the device free list. A reused event
+// keeps its last time for a replay; it is unresolved until the next drain
+// or replay, so the time cannot be read before then.
 //
 //astra:hotpath
 func (d *Device) newEvent() *Event {
@@ -334,7 +349,7 @@ func (d *Device) newEvent() *Event {
 		e := d.eventPool[d.eventUsed]
 		d.eventUsed++
 		d.poolReuse++
-		*e = Event{}
+		e.resolved = false
 		return e
 	}
 	// lint:ok escape pool growth, amortized to zero across Reset/reuse
@@ -349,6 +364,52 @@ func (d *Device) newEvent() *Event {
 // versus freshly allocated since the device was created.
 func (d *Device) PoolCounters() (reused, allocated int64) {
 	return d.poolReuse, d.poolAlloc
+}
+
+// BatchesReplayed reports how many batches Synchronize replayed instead of
+// running the event loop since the device was created.
+func (d *Device) BatchesReplayed() int64 { return d.replayed }
+
+// Reserve sizes the device for a batch of the given number of kernel
+// launches and event records, with items[i] items (launches, records and
+// waits) on stream i, growing the stream set to len(items). The first such
+// batch then draws every pooled object and queue slot from storage made
+// here, in a few large allocations, instead of growing it item by item. It
+// only grows; a larger batch still grows the pools on demand. Call it
+// between batches.
+func (d *Device) Reserve(kernels, events int, items []int) {
+	d.EnsureStreams(len(items))
+	// Queues may move, and with them the reference batch's items.
+	d.refOK, d.same = false, false
+	for i, n := range items {
+		d.streams[i].queue = growTo(d.streams[i].queue, n)
+	}
+	d.recPool = reservePool(d, d.recPool, kernels)
+	d.eventPool = reservePool(d, d.eventPool, events)
+}
+
+// growTo returns s with capacity for at least n elements.
+func growTo[T any](s []T, n int) []T {
+	if n > cap(s) {
+		s = slices.Grow(s, n-len(s))
+	}
+	return s
+}
+
+// reservePool grows pool to n objects, made in one allocation; they count
+// as allocated, and each hand-out as a reuse.
+func reservePool[T any](d *Device, pool []*T, n int) []*T {
+	add := n - len(pool)
+	if add <= 0 {
+		return pool
+	}
+	pool = growTo(pool, n)
+	objs := make([]T, add)
+	for i := range objs {
+		pool = append(pool, &objs[i])
+	}
+	d.poolAlloc += int64(add)
+	return pool
 }
 
 // NewDevice creates a device with one stream.
@@ -411,7 +472,7 @@ func (d *Device) AdvanceCPU(us float64) { d.cpuUs += us }
 // Records returns every kernel executed since the last Reset, in launch
 // order. The slice and the records it points to are recycled by the next
 // Reset; callers must copy anything they keep across batches.
-func (d *Device) Records() []*KernelRecord { return d.records }
+func (d *Device) Records() []*KernelRecord { return d.recPool[:d.recUsed:d.recUsed] }
 
 // SMBusyUs returns the integral of occupied SMs over device time, the basis
 // of the utilization statistics in reports.
@@ -430,9 +491,7 @@ func (d *Device) Reset() {
 	d.freeSMs = d.cfg.NumSMs
 	d.running = d.running[:0]
 	d.batches = d.batches[:0]
-	d.records = d.records[:0]
-	d.recUsed, d.kernUsed, d.eventUsed = 0, 0, 0
-	d.launchSeq = 0
+	d.recUsed, d.eventUsed = 0, 0
 	d.smBusyUs = 0
 	d.batch++
 	d.rng.Reseed(d.cfg.Seed + uint64(d.batch)*0x9E3779B97F4A7C15)
@@ -445,11 +504,23 @@ func (d *Device) Reset() {
 		s.waitStream = -1
 		s.waitTag = ""
 	}
+	d.same, d.refOK = d.refOK && !d.perturbed(), false
+	d.drains = 0
+}
+
+// perturbed reports whether the device changes kernel times on purpose:
+// Autoboost jitter, fault injection or a cost override. Such a device
+// always runs the event loop, even for a batch that repeats the last one,
+// so the noise the drift watchdog and the what-if checker are tested
+// against is always simulated.
+func (d *Device) perturbed() bool {
+	return d.cfg.Autoboost || d.cfg.Faults.Enabled() || len(d.override.ClassTimeFactors) > 0
 }
 
 // Launch enqueues a kernel on a stream. It consumes the configured launch
 // overhead on the CPU timeline and returns asynchronously, like
-// cudaLaunchKernel.
+// cudaLaunchKernel. The record's timing fields are final once the device
+// is synchronized; before that they hold no meaning.
 //
 //astra:hotpath
 func (d *Device) Launch(streamID int, spec KernelSpec) *KernelRecord {
@@ -486,23 +557,24 @@ func (d *Device) Launch(streamID int, spec KernelSpec) *KernelRecord {
 			jitter *= f
 		}
 	}
+	tileUs := spec.TileTimeUs * jitter
+	seq := int32(d.recUsed)
 	// lint:ok escape inlined newRecord: pool growth, amortized to zero across Reset/reuse
 	rec := d.newRecord()
-	rec.Name = spec.Name
-	rec.Stream = streamID
-	rec.LaunchUs = d.cpuUs
-	rec.Tiles = spec.Tiles
-	rec.TileTimeUs = spec.TileTimeUs * jitter
-	d.records = append(d.records, rec)
-	// lint:ok escape inlined newKernel: pool growth, amortized to zero across Reset/reuse
-	k := d.newKernel()
-	k.rec = rec
-	k.setupUs = setup
-	k.seq = d.launchSeq
-	d.launchSeq++
-	k.unassigned = spec.Tiles
-	k.jitter = jitter
-	s.push(item{kind: itemKernel, arrivalUs: d.cpuUs, kern: k})
+	if d.same {
+		// The reference launched the same record in the same order, so the
+		// spec it left is this kernel's to compare with.
+		it := d.stale(s, streamID)
+		if it == nil || it.kind != itemKernel || it.rec != rec || !sameBits(it.arrivalUs, d.cpuUs) ||
+			rec.Name != spec.Name || rec.Tiles != spec.Tiles ||
+			!sameBits(rec.TileTimeUs, tileUs) || !sameBits(it.setupUs, setup) {
+			d.diverge()
+		}
+	}
+	if !d.same {
+		*rec = KernelRecord{Name: spec.Name, Stream: streamID, LaunchUs: d.cpuUs, Tiles: spec.Tiles, TileTimeUs: tileUs}
+	}
+	d.enqueue(s, item{kind: itemKernel, arrivalUs: d.cpuUs, rec: rec, setupUs: setup, aux: seq})
 	return rec
 }
 
@@ -514,17 +586,21 @@ func (d *Device) Launch(streamID int, spec KernelSpec) *KernelRecord {
 func (d *Device) RecordEvent(streamID int) *Event {
 	s := d.stream(streamID)
 	d.cpuUs += 0.2
-	d.eventSeq++
 	// lint:ok escape inlined newEvent: pool growth, amortized to zero across Reset/reuse
 	e := d.newEvent()
-	e.id = d.eventSeq
+	if d.same {
+		if it := d.stale(s, streamID); it == nil || it.kind != itemRecord || it.event != e || !sameBits(it.arrivalUs, d.cpuUs) {
+			d.diverge()
+		}
+	}
 	e.stream = streamID
-	s.push(item{kind: itemRecord, arrivalUs: d.cpuUs, event: e})
+	d.enqueue(s, item{kind: itemRecord, arrivalUs: d.cpuUs, event: e})
 	return e
 }
 
 // WaitEvent makes subsequent work on the stream wait until the event
-// resolves (cudaStreamWaitEvent).
+// resolves (cudaStreamWaitEvent). The event must have been recorded on
+// this device since the last Reset.
 func (d *Device) WaitEvent(streamID int, e *Event) {
 	d.WaitEventTag(streamID, e, "")
 }
@@ -539,14 +615,60 @@ func (d *Device) WaitEvent(streamID int, e *Event) {
 func (d *Device) WaitEventTag(streamID int, e *Event, tag string) {
 	s := d.stream(streamID)
 	d.cpuUs += 0.2
-	s.push(item{kind: itemWait, arrivalUs: d.cpuUs, event: e, tag: tag})
+	ti := d.tagIndex(tag)
+	if d.same {
+		if it := d.stale(s, streamID); it == nil || it.kind != itemWait || it.event != e || it.aux != ti || !sameBits(it.arrivalUs, d.cpuUs) {
+			d.diverge()
+		}
+	}
+	d.enqueue(s, item{kind: itemWait, arrivalUs: d.cpuUs, event: e, aux: ti})
+}
+
+// tagIndex returns tag's index in the device's tag list, adding it the
+// first time. Equal tags share one index, so comparing indices compares
+// tags; a dispatcher uses a handful.
+//
+//astra:hotpath
+func (d *Device) tagIndex(tag string) int32 {
+	for i, t := range d.tags {
+		if t == tag {
+			return int32(i)
+		}
+	}
+	// lint:ok escape a tag's first sighting, once per distinct tag
+	d.tags = append(d.tags, tag)
+	return int32(len(d.tags) - 1)
 }
 
 // Synchronize drains all streams (cudaDeviceSynchronize): the simulation
 // runs to completion and the CPU clock advances to the device completion
 // time if the device finished later.
+//
+// A batch that repeats the last one is replayed instead of simulated. The
+// event loop is a pure function of what it drains: every stream's items
+// (kind, arrival time, post-jitter kernel spec, launch order, the event a
+// record or wait names and a wait's tag), starting from the clean state
+// Reset leaves. So when the first drain since Reset finds that every item
+// issued equals, field by field, the item it overwrote in the stream
+// queues of the last batch, and that batch drained exactly once, the drain
+// would reproduce that batch's results to the bit. The records and events
+// still hold them, and Synchronize restores the rest (each stream's end
+// state and the clocks) instead of running the loop. Anything else — a
+// second drain in a batch (HostTransfer), a batch that differs anywhere,
+// a perturbed device (see perturbed) — runs the loop.
 func (d *Device) Synchronize() {
-	d.drain()
+	switch {
+	case d.drains > 0:
+		d.drain()
+	case d.repeats():
+		d.replay()
+	default:
+		d.drainRef()
+	}
+	// The storage holds a whole reference only after the batch's one drain.
+	d.refOK = d.drains == 0
+	d.drains++
+	d.same = false
 	if d.simUs > d.cpuUs {
 		d.cpuUs = d.simUs
 	}
@@ -565,6 +687,89 @@ func (d *Device) HostTransfer(streamID int, bytes int64) {
 	if d.simUs < d.cpuUs {
 		d.simUs = d.cpuUs
 	}
+}
+
+// ---- replay of a repeated batch ----
+
+// sameBits compares two times bit for bit, so +0 and -0 differ.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// enqueue appends an item to a stream's queue. An item issued after the
+// batch's drain overwrites the reference batch's items.
+//
+//astra:hotpath
+func (d *Device) enqueue(s *stream, it item) {
+	if d.drains > 0 {
+		d.refOK = false
+	}
+	s.push(it)
+}
+
+// stale returns the reference batch's item that the next item issued on
+// stream id overwrites, or nil when the reference issued no more there.
+//
+//astra:hotpath
+func (d *Device) stale(s *stream, id int) *item {
+	n := len(s.queue)
+	if id >= len(d.ref) || n >= d.ref[id].items {
+		return nil
+	}
+	return &s.queue[:n+1][n]
+}
+
+// diverge ends the batch's match with the reference. The drain will run
+// the event loop, so the records issued so far drop the results they kept
+// from the reference, as fresh records have none.
+func (d *Device) diverge() {
+	d.same = false
+	for _, r := range d.recPool[:d.recUsed] {
+		*r = KernelRecord{Name: r.Name, Stream: r.Stream, LaunchUs: r.LaunchUs, Tiles: r.Tiles, TileTimeUs: r.TileTimeUs}
+	}
+}
+
+// repeats reports whether the batch issued exactly the reference batch:
+// every item matched so far, and no stream has more or fewer.
+func (d *Device) repeats() bool {
+	if !d.same || len(d.streams) != len(d.ref) {
+		return false
+	}
+	for i, s := range d.streams {
+		if len(s.queue) != d.ref[i].items {
+			return false
+		}
+	}
+	return true
+}
+
+// replay restores the reference batch's drain: the records and events hold
+// its results already, and each stream's end state and the clocks come
+// from ref.
+func (d *Device) replay() {
+	for i, s := range d.streams {
+		r := &d.ref[i]
+		s.queue = s.queue[:0]
+		s.lastDone, s.waitUntil, s.waitStream, s.waitTag = r.lastDone, r.waitUntil, r.waitStream, r.waitTag
+	}
+	for _, e := range d.eventPool[:d.eventUsed] {
+		e.resolved = true
+	}
+	d.simUs, d.smBusyUs = d.refSimUs, d.refSMBusyUs
+	d.replayed++
+}
+
+// drainRef runs the event loop for the batch's first drain and keeps what
+// a replay of it needs besides the records and events.
+func (d *Device) drainRef() {
+	d.ref = growTo(d.ref[:0], len(d.streams))[:len(d.streams)]
+	for i, s := range d.streams {
+		d.ref[i].items = len(s.queue)
+	}
+	d.drain()
+	for i, s := range d.streams {
+		r := &d.ref[i]
+		r.lastDone, r.waitUntil, r.waitStream, r.waitTag = s.lastDone, s.waitUntil, s.waitStream, s.waitTag
+	}
+	d.refSimUs, d.refSMBusyUs = d.simUs, d.smBusyUs
 }
 
 func (d *Device) stream(id int) *stream {
@@ -677,7 +882,7 @@ func (d *Device) startEligibleWork() {
 					if it.event.timeUs > s.waitUntil {
 						s.waitUntil = it.event.timeUs
 						s.waitStream = it.event.stream
-						s.waitTag = it.tag
+						s.waitTag = d.tags[it.aux]
 					}
 					s.advance()
 					progress = true
@@ -686,8 +891,8 @@ func (d *Device) startEligibleWork() {
 					if eligible > d.simUs {
 						break
 					}
-					k := it.kern
-					k.started = true
+					k := &s.run
+					*k = kernel{rec: it.rec, readyAt: eligible + it.setupUs, seq: int(it.aux), unassigned: it.rec.Tiles}
 					k.rec.StartUs = eligible
 					// Record the three operands of the start-time max so the
 					// analyzer can reconstruct which constraint bound this
@@ -696,7 +901,6 @@ func (d *Device) startEligibleWork() {
 					k.rec.WaitUs = s.waitUntil
 					k.rec.WaitStream = s.waitStream
 					k.rec.WaitTag = s.waitTag
-					k.readyAt = eligible + k.setupUs
 					s.busy = k
 					d.running = append(d.running, k)
 					s.advance()

@@ -27,7 +27,7 @@ func (d *Device) ExportSpansTo(tr *obs.Tracer, offsetUs float64, devPID, queuePI
 		tr.SetThreadName(devPID, s, fmt.Sprintf("stream %d", s))
 		tr.SetThreadName(queuePID, s, fmt.Sprintf("stream %d queue", s))
 	}
-	for _, r := range d.records {
+	for _, r := range d.Records() {
 		tr.AddSpan(devPID, r.Stream, r.Name, "kernel",
 			offsetUs+r.StartUs, r.EndUs-r.StartUs, map[string]interface{}{
 				"tiles":        r.Tiles,
@@ -53,9 +53,9 @@ func (d *Device) Profile(worker int) obs.BatchProfile {
 		EndUs:      d.simUs,
 		NumSMs:     d.cfg.NumSMs,
 		SMBusyUs:   d.smBusyUs,
-		Kernels:    make([]obs.KernelSample, len(d.records)),
+		Kernels:    make([]obs.KernelSample, d.recUsed),
 	}
-	for i, r := range d.records {
+	for i, r := range d.Records() {
 		p.Kernels[i] = obs.KernelSample{
 			Name:       r.Name,
 			Stream:     r.Stream,

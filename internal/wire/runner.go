@@ -167,7 +167,7 @@ func NewRunner(plan *enumerate.Plan, dev *gpusim.Device, cfg RunnerConfig) *Runn
 		r.choices = make([]int, len(r.vars))
 	}
 	r.lower()
-	dev.EnsureStreams(len(r.prog.Streams))
+	reserve(dev, &r.prog, cfg.Profile)
 	return r
 }
 
@@ -175,8 +175,36 @@ func NewRunner(plan *enumerate.Plan, dev *gpusim.Device, cfg RunnerConfig) *Runn
 // device. It shares lead's program and launch list instead of lowering a
 // copy of its own.
 func newPeer(lead *Runner, dev *gpusim.Device, cfg RunnerConfig) *Runner {
-	dev.EnsureStreams(len(lead.prog.Streams))
+	reserve(dev, &lead.prog, cfg.Profile)
 	return &Runner{Plan: lead.Plan, Dev: dev, Cfg: cfg, lead: lead}
+}
+
+// reserve sizes dev for a batch of prog before the first one runs: one
+// pooled record per launching op, one event per record op, and each
+// stream's queue for its ops. A profiling runner adds the batch-span events on
+// stream 0. The event pairs that measure units and epochs grow the pools
+// on demand, so a wired batch, which measures nothing, fits exactly.
+func reserve(dev *gpusim.Device, prog *verify.Schedule, profile bool) {
+	items := make([]int, len(prog.Streams))
+	kernels, events := 0, 0
+	for i, ops := range prog.Streams {
+		for j := range ops {
+			switch op := &ops[j]; {
+			case op.Unit != nil || op.Kind == verify.OpKernel:
+				kernels++
+			case op.Kind == verify.OpRecord:
+				events++
+			case op.Kind != verify.OpWait:
+				continue
+			}
+			items[i]++
+		}
+	}
+	if profile {
+		events += 2
+		items[0] += 2
+	}
+	dev.Reserve(kernels, events, items)
 }
 
 // Program returns the op program the next batch issues: the cached one

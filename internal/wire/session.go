@@ -312,6 +312,7 @@ func (s *Session) Instrument(tel *obs.Telemetry) {
 	tel.Metrics.Gauge("profile.hit_rate", "profile index hit rate")
 	tel.Metrics.Gauge("sim.pool_reused", "simulator hot-path objects served from free-lists")
 	tel.Metrics.Gauge("sim.pool_allocated", "simulator hot-path objects freshly allocated")
+	tel.Metrics.Gauge("sim.batches_replayed", "simulated batches replayed from the previous batch's timeline")
 	tel.Metrics.Counter("session.drift_events", "wired-phase drift watchdog firings")
 	// Trace-analytics summaries: internal/analyze runs on every batch's
 	// kernel profiles and folds the headline numbers into the registry.
@@ -449,6 +450,7 @@ func (s *Session) recordBatchTelemetry(res *BatchResult, bindings map[string]str
 	reused, allocated := s.Runner.Dev.PoolCounters()
 	tel.Metrics.Gauge("sim.pool_reused", "").Set(float64(reused))
 	tel.Metrics.Gauge("sim.pool_allocated", "").Set(float64(allocated))
+	tel.Metrics.Gauge("sim.batches_replayed", "").Set(float64(s.Runner.Dev.BatchesReplayed()))
 	if len(res.WorkerUs) > 0 {
 		tel.Metrics.Histogram("distsim.comm_us", "").Observe(res.CommUs)
 		tel.Metrics.Counter("distsim.comm_kernels", "").Add(float64(res.CommKernels))
